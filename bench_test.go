@@ -506,38 +506,36 @@ func BenchmarkDecodeHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkSFQMesh compares the legacy struct-of-bools mesh kernel, the
-// scalar bit-plane kernel, and the SWAR batch kernel at d ∈ {5,7,9,13}
-// on fixed seeded syndromes, all through the pooled decode path.
-// cycles/decode is attached as a metric — it must be identical across
-// kernels (the conformance suites enforce this; the benchmark makes it
-// visible). The batch case reports per-decode metrics (one call
-// advances Lanes() decodes); the PR 5 acceptance bar is batch ns/decode
-// ≤ ½ of the scalar bit-plane kernel at every d ≤ 13. cmd/bench
-// regenerates the same matrix into BENCH_pr3.json / BENCH_pr5.json.
+// BenchmarkSFQMesh compares the scalar bit-plane mesh kernel and the
+// SWAR batch kernel at d ∈ {5,7,9,13} on fixed seeded syndromes, both
+// through the pooled decode path. cycles/decode is attached as a metric
+// — it must be identical across kernels (the conformance suites enforce
+// this; the benchmark makes it visible). The batch case reports
+// per-decode metrics (one call advances Lanes() decodes); the batch
+// kernel's acceptance bar is batch ns/decode ≤ ½ of the scalar
+// bit-plane kernel at every d ≤ 13. cmd/bench regenerates the same matrix into
+// BENCH_pr3.json / BENCH_pr5.json.
 func BenchmarkSFQMesh(b *testing.B) {
 	for _, d := range []int{5, 7, 9, 13} {
 		l := lattice.MustNew(d)
 		g := l.MatchingGraph(lattice.ZErrors)
 		syndromes := hotPathSyndromes(b, l, g, 64, int64(100+d))
-		for _, k := range []sfq.Kernel{sfq.KernelLegacy, sfq.KernelBitplane} {
-			b.Run(fmt.Sprintf("d=%d/%s", d, k), func(b *testing.B) {
-				mesh := sfq.NewWithKernel(g, sfq.Final, k)
-				s := decodepool.NewScratch()
-				for _, syn := range syndromes { // warm the scratch
-					if _, err := mesh.DecodeInto(g, syn, s); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("d=%d/bitplane", d), func(b *testing.B) {
+			mesh := sfq.New(g, sfq.Final)
+			s := decodepool.NewScratch()
+			for _, syn := range syndromes { // warm the scratch
+				if _, err := mesh.DecodeInto(g, syn, s); err != nil {
+					b.Fatal(err)
 				}
-				var cycles int64
-				benchDecodeN(b, 1, func(i int) error {
-					_, err := mesh.DecodeInto(g, syndromes[i%len(syndromes)], s)
-					cycles += int64(mesh.Stats().Cycles)
-					return err
-				})
-				b.ReportMetric(float64(cycles)/float64(b.N), "cycles/decode")
+			}
+			var cycles int64
+			benchDecodeN(b, 1, func(i int) error {
+				_, err := mesh.DecodeInto(g, syndromes[i%len(syndromes)], s)
+				cycles += int64(mesh.Stats().Cycles)
+				return err
 			})
-		}
+			b.ReportMetric(float64(cycles)/float64(b.N), "cycles/decode")
+		})
 		b.Run(fmt.Sprintf("d=%d/batch", d), func(b *testing.B) {
 			batch := sfq.NewBatch(g, sfq.Final)
 			s := decodepool.NewScratch()

@@ -5,9 +5,9 @@
 #
 # Runs, in order: go vet, go build, the full test suite, the test suite
 # under the race detector, a short native-fuzz smoke over the blossom
-# matcher, the decode dispatch, the SFQ mesh kernel pair, and the SWAR
-# batch kernel, short bit-plane/legacy and batch/scalar conformance
-# passes, the two-level escalation gates (differential conformance
+# matcher, the decode dispatch, the SFQ bit-plane kernel against the
+# legacy oracle, and the SWAR batch kernel, short bit-plane-vs-oracle
+# and batch/scalar conformance passes, the two-level escalation gates (differential conformance
 # against pure mesh / pure MWPM, a FuzzTwoLevel smoke, and the
 # two-level sweep determinism test under the race detector), a
 # batched-vs-scalar sweep determinism gate under the race
@@ -47,6 +47,14 @@
 # -trace-check additionally hard-fails unless shed decisions carry the
 # new weight/sojourn inputs and serve_queue_wait_ns p99 at the 2R point
 # improved >=20% over the embedded PR 9 baseline row.
+# The SFQ mesh has two production stepping kernels: the scalar
+# bit-plane kernel (single syndromes, and meshes wider than one word)
+# and the fused SWAR batch kernel (side <= 64, every plane width). The
+# original struct-of-bools kernel lives only in internal/sfq's tests,
+# as the independent oracle the bit-plane kernel is diffed against.
+# Every -run, -fuzz and -bench pattern below goes through gotest, which
+# fails when a pattern name matches no test (a renamed conformance test
+# must not silently turn its gate into "no tests to run").
 # The race
 # run sets
 # REPRO_MC_SHORT=1, which the statistical tests in internal/stats and
@@ -59,6 +67,32 @@
 set -eu
 
 cd "$(dirname "$0")"
+
+# gotest is `go test` that first checks the names in its -run, -fuzz and
+# -bench patterns: every |-separated alternative must match at least one
+# function of the package (the last argument) under `go test -list`.
+# Without the check, renaming a test turns its gate into "no tests to
+# run", which passes. The match-nothing pattern '^$' is exempt.
+gotest() {
+	pats=""
+	prev=""
+	for a in "$@"; do
+		case "$prev" in -run | -fuzz | -bench) pats="$pats $a" ;; esac
+		case "$a" in -run=* | -fuzz=* | -bench=*) pats="$pats ${a#*=}" ;; esac
+		prev=$a
+	done
+	pkg=$prev
+	for p in $pats; do
+		[ "$p" = '^$' ] && continue
+		for name in $(printf '%s\n' "$p" | tr '|' ' '); do
+			if ! go test -list "$name" "$pkg" | grep -Eq '^(Test|Benchmark|Fuzz|Example)'; then
+				echo "ci.sh: pattern $name matches no test in $pkg" >&2
+				exit 1
+			fi
+		done
+	done
+	go test "$@"
+}
 
 echo "== go vet =="
 go vet ./...
@@ -73,30 +107,30 @@ echo "== go test -race (short trials) =="
 REPRO_MC_SHORT=1 go test -race ./...
 
 echo "== fuzz smoke =="
-go test -run='^$' -fuzz=FuzzBlossom -fuzztime=5s ./internal/match
-go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/decoder
-go test -run='^$' -fuzz='^FuzzMesh$' -fuzztime=5s ./internal/sfq
-go test -run='^$' -fuzz='^FuzzBatchMesh$' -fuzztime=5s ./internal/sfq
-go test -run='^$' -fuzz='^FuzzWideBatch$' -fuzztime=5s ./internal/sfq
-go test -run='^$' -fuzz='^FuzzFrame$' -fuzztime=5s ./internal/serve
-go test -run='^$' -fuzz='^FuzzTwoLevel$' -fuzztime=5s ./internal/twolevel
+gotest -run='^$' -fuzz=FuzzBlossom -fuzztime=5s ./internal/match
+gotest -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/decoder
+gotest -run='^$' -fuzz='^FuzzMesh$' -fuzztime=5s ./internal/sfq
+gotest -run='^$' -fuzz='^FuzzBatchMesh$' -fuzztime=5s ./internal/sfq
+gotest -run='^$' -fuzz='^FuzzWideBatch$' -fuzztime=5s ./internal/sfq
+gotest -run='^$' -fuzz='^FuzzFrame$' -fuzztime=5s ./internal/serve
+gotest -run='^$' -fuzz='^FuzzTwoLevel$' -fuzztime=5s ./internal/twolevel
 
 echo "== mesh kernel conformance (short) =="
-REPRO_MC_SHORT=1 go test -run TestBitplaneConformance ./internal/sfq
-REPRO_MC_SHORT=1 go test -run TestBatchMeshConformance ./internal/sfq
-REPRO_MC_SHORT=1 go test -run TestStatsExitPathParity ./internal/sfq
-REPRO_MC_SHORT=1 go test -run 'TestBatchMeshWidthConformance|TestBatchMeshWidthsAgree|TestBatchMeshWidthZeroAllocs' ./internal/sfq
+REPRO_MC_SHORT=1 gotest -run TestBitplaneConformance ./internal/sfq
+REPRO_MC_SHORT=1 gotest -run TestBatchMeshConformance ./internal/sfq
+REPRO_MC_SHORT=1 gotest -run TestStatsExitPathParity ./internal/sfq
+REPRO_MC_SHORT=1 gotest -run 'TestBatchMeshWidthConformance|TestBatchMeshWidthsAgree|TestBatchMeshWidthZeroAllocs' ./internal/sfq
 
 echo "== work-stealing scheduler: race pass + steal-schedule determinism =="
 go test -race -count=1 ./internal/sched
-REPRO_MC_SHORT=1 go test -race -run TestCurvesStealScheduleDeterminism -count=1 ./internal/stats
+REPRO_MC_SHORT=1 gotest -race -run TestCurvesStealScheduleDeterminism -count=1 ./internal/stats
 
 echo "== two-level escalation: differential conformance + sweep determinism (race) =="
-REPRO_MC_SHORT=1 go test -run 'TestTwoLevelConformance|TestTwoLevelCounters' -count=1 ./internal/twolevel
-REPRO_MC_SHORT=1 go test -race -run TestCurvesTwoLevelDeterminism -count=1 ./internal/stats
+REPRO_MC_SHORT=1 gotest -run 'TestTwoLevelConformance|TestTwoLevelCounters' -count=1 ./internal/twolevel
+REPRO_MC_SHORT=1 gotest -race -run TestCurvesTwoLevelDeterminism -count=1 ./internal/stats
 
 echo "== decode service: wire conformance + race hammer + backpressure =="
-REPRO_MC_SHORT=1 go test -run 'TestWireConformance|TestHTTPConformance' -count=1 ./internal/serve
+REPRO_MC_SHORT=1 gotest -run 'TestWireConformance|TestHTTPConformance' -count=1 ./internal/serve
 REPRO_MC_SHORT=1 go test -race -count=1 ./internal/serve
 
 echo "== serve fast path: zero-alloc gate + weighted shed ordering (race) =="
@@ -104,23 +138,23 @@ echo "== serve fast path: zero-alloc gate + weighted shed ordering (race) =="
 # responses and syndrome buffers, ring out-queue, no per-request
 # closures. Run without -race (the detector's instrumentation
 # allocates).
-go test -run TestSteadyStateZeroAllocs -count=1 ./internal/serve
+gotest -run TestSteadyStateZeroAllocs -count=1 ./internal/serve
 # Shed ordering under overload is monotone in measured decode cost, the
 # sojourn bound drops aged work, and REPRO_SERVE_WEIGHTED=0 restores
 # uniform shedding — all racing the controller.
-REPRO_MC_SHORT=1 go test -race -run 'TestShedClassMonotone|TestWeightedShedOrdering|TestWeightedShedDisabled|TestSojournDrop|TestSubmitCopiesSyndrome|TestWireAliasingPipelined|TestClientFlushBatching' -count=1 ./internal/serve
+REPRO_MC_SHORT=1 gotest -race -run 'TestShedClassMonotone|TestWeightedShedOrdering|TestWeightedShedDisabled|TestSojournDrop|TestSubmitCopiesSyndrome|TestWireAliasingPipelined|TestClientFlushBatching' -count=1 ./internal/serve
 
 echo "== batched sweep determinism (race, short trials) =="
-REPRO_MC_SHORT=1 go test -race -run TestCurvesBatchDeterminism -count=1 ./internal/stats
+REPRO_MC_SHORT=1 gotest -race -run TestCurvesBatchDeterminism -count=1 ./internal/stats
 
 echo "== telemetry: obs race, live scrape, overhead guard =="
 go test -race -count=1 ./internal/obs
-REPRO_MC_SHORT=1 go test -run TestObsMetricsSmokeSweep -count=1 .
-REPRO_OBS_GUARD=1 go test -run 'TestObsOverheadGuard|TestTraceOverheadGuard' -count=1 .
+REPRO_MC_SHORT=1 gotest -run TestObsMetricsSmokeSweep -count=1 .
+REPRO_OBS_GUARD=1 gotest -run 'TestObsOverheadGuard|TestTraceOverheadGuard' -count=1 .
 
 echo "== decode hot-path benchmarks =="
-go test -run='^$' -bench BenchmarkDecodeHotPath -benchtime 100x -benchmem .
-go test -run='^$' -bench BenchmarkSFQMesh -benchtime 100x -benchmem .
+gotest -run='^$' -bench BenchmarkDecodeHotPath -benchtime 100x -benchmem .
+gotest -run='^$' -bench BenchmarkSFQMesh -benchtime 100x -benchmem .
 # -allow-dirty: ci.sh runs on development trees; the manifest still
 # records git_dirty so the artifact is honest about its provenance.
 go run ./cmd/bench -iters 2000 -out BENCH_pr2.json -mesh-out BENCH_pr3.json \

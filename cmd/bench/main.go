@@ -3,13 +3,12 @@
 // tracked as repository artifacts. For every matching decoder and
 // d ∈ {5, 9, 13} it times the legacy allocating Decode path and the
 // pooled zero-allocation DecodeInto path on identical seeded syndromes
-// (BENCH_pr2.json), then times the SFQ mesh's legacy and bit-plane
-// stepping kernels head to head on the same syndromes (BENCH_pr3.json),
-// reporting ns/decode, mesh cycles/decode, and allocation counts from
-// runtime.MemStats deltas. Finally it races the scalar bit-plane kernel
-// against the SWAR batch kernel at d ∈ {5, 7, 9, 13} (BENCH_pr5.json),
-// cross-checking batch corrections and cycle counts against the scalar
-// kernel before timing.
+// (BENCH_pr2.json), then times the SFQ mesh's scalar bit-plane kernel
+// on the same syndromes (BENCH_pr3.json), reporting ns/decode, mesh
+// cycles/decode, and allocation counts from runtime.MemStats deltas.
+// Finally it races the scalar bit-plane kernel against the SWAR batch
+// kernel at d ∈ {5, 7, 9, 13} (BENCH_pr5.json), cross-checking batch
+// corrections and cycle counts against the scalar kernel before timing.
 //
 // Each artifact embeds the run manifest (git SHA + dirty flag, Go
 // version, GOMAXPROCS, CPU count, kernel env knobs) so a number in the
@@ -73,11 +72,9 @@ type Row struct {
 }
 
 // MeshRow is one mesh-kernel measurement. CyclesPerDecode is the mean
-// simulated mesh cycle count over the syndrome set — it must be
-// identical across kernels (the bit-plane kernel is cycle-exact), so the
-// artifact doubles as a conformance record.
+// simulated mesh cycle count over the syndrome set.
 type MeshRow struct {
-	Kernel          string  `json:"kernel"` // "legacy" or "bitplane"
+	Kernel          string  `json:"kernel"` // "bitplane"
 	Distance        int     `json:"d"`
 	Variant         string  `json:"variant"`
 	Iters           int     `json:"iters"`
@@ -185,7 +182,7 @@ func main() {
 	}
 	fmt.Printf("wrote %s (%d rows)\n\n", *out, len(rows))
 
-	meshRows, err := benchMeshKernels(*iters)
+	meshRows, err := benchMeshKernel(*iters)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -227,11 +224,11 @@ func writeArtifact(path string, v any) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// benchMeshKernels times the SFQ mesh's two stepping kernels on
-// identical seeded syndromes through the zero-allocation DecodeInto
-// path, and checks that the bit-plane kernel reproduces the legacy
-// kernel's simulated cycle counts exactly.
-func benchMeshKernels(iters int) ([]MeshRow, error) {
+// benchMeshKernel times the SFQ mesh's scalar bit-plane kernel on
+// seeded syndromes through the zero-allocation DecodeInto path. Kernel
+// agreement on corrections and full Stats is the conformance suites'
+// job (internal/sfq diffs the kernel against the legacy oracle there).
+func benchMeshKernel(iters int) ([]MeshRow, error) {
 	var rows []MeshRow
 	for _, d := range []int{5, 9, 13} {
 		l := lattice.MustNew(d)
@@ -240,49 +237,36 @@ func benchMeshKernels(iters int) ([]MeshRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		var legacyNs float64
-		for _, k := range []sfq.Kernel{sfq.KernelLegacy, sfq.KernelBitplane} {
-			mesh := sfq.NewWithKernel(g, sfq.Final, k)
-			s := decodepool.NewScratch()
-			// Cycle counts are deterministic per syndrome: one clean pass
-			// gives the exact mean, independent of the timing loop.
-			cycles := 0
-			for _, syn := range syndromes {
-				if _, err := mesh.DecodeInto(g, syn, s); err != nil {
-					return nil, fmt.Errorf("mesh %s d=%d: %w", k, d, err)
-				}
-				cycles += mesh.Stats().Cycles
+		mesh := sfq.New(g, sfq.Final)
+		s := decodepool.NewScratch()
+		// Cycle counts are deterministic per syndrome: one clean pass
+		// gives the exact mean, independent of the timing loop.
+		cycles := 0
+		for _, syn := range syndromes {
+			if _, err := mesh.DecodeInto(g, syn, s); err != nil {
+				return nil, fmt.Errorf("mesh d=%d: %w", d, err)
 			}
-			row, err := measure(iters, syndromes, func(syn []bool) error {
-				_, err := mesh.DecodeInto(g, syn, s)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("mesh %s d=%d: %w", k, d, err)
-			}
-			rows = append(rows, MeshRow{
-				Kernel:          k.String(),
-				Distance:        d,
-				Variant:         sfq.Final.Name(),
-				Iters:           row.Iters,
-				NsPerDecode:     row.NsPerDecode,
-				CyclesPerDecode: float64(cycles) / float64(len(syndromes)),
-				AllocsPerDecode: row.AllocsPerDecode,
-				BytesPerDecode:  row.BytesPerDecode,
-			})
-			if k == sfq.KernelLegacy {
-				legacyNs = row.NsPerDecode
-			} else {
-				prev := rows[len(rows)-2]
-				if prev.CyclesPerDecode != rows[len(rows)-1].CyclesPerDecode {
-					return nil, fmt.Errorf("d=%d: kernels disagree on cycles/decode: legacy %v, bitplane %v",
-						d, prev.CyclesPerDecode, rows[len(rows)-1].CyclesPerDecode)
-				}
-				fmt.Printf("sfq mesh    d=%-3d legacy %9.0f ns/decode | bitplane %9.0f ns/decode | %.2fx  (%.2f cycles/decode, %.1f allocs)\n",
-					d, legacyNs, row.NsPerDecode, legacyNs/row.NsPerDecode,
-					rows[len(rows)-1].CyclesPerDecode, row.AllocsPerDecode)
-			}
+			cycles += mesh.Stats().Cycles
 		}
+		row, err := measure(iters, syndromes, func(syn []bool) error {
+			_, err := mesh.DecodeInto(g, syn, s)
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("mesh d=%d: %w", d, err)
+		}
+		rows = append(rows, MeshRow{
+			Kernel:          sfq.KernelBitplane.String(),
+			Distance:        d,
+			Variant:         sfq.Final.Name(),
+			Iters:           row.Iters,
+			NsPerDecode:     row.NsPerDecode,
+			CyclesPerDecode: float64(cycles) / float64(len(syndromes)),
+			AllocsPerDecode: row.AllocsPerDecode,
+			BytesPerDecode:  row.BytesPerDecode,
+		})
+		fmt.Printf("sfq mesh    d=%-3d bitplane %9.0f ns/decode  (%.2f cycles/decode, %.1f allocs)\n",
+			d, row.NsPerDecode, float64(cycles)/float64(len(syndromes)), row.AllocsPerDecode)
 	}
 	return rows, nil
 }
@@ -301,7 +285,7 @@ func benchBatchKernel(iters int) ([]BatchRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		mesh := sfq.NewWithKernel(g, sfq.Final, sfq.KernelBitplane)
+		mesh := sfq.New(g, sfq.Final)
 		batch := sfq.NewBatch(g, sfq.Final)
 		lanes := batch.Lanes()
 		// Rotating lane windows over the syndrome set, as in

@@ -82,7 +82,7 @@ func benchWideKernel(iters int) ([]WideRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		mesh := sfq.NewWithKernel(g, sfq.Final, sfq.KernelBitplane)
+		mesh := sfq.New(g, sfq.Final)
 		ss := decodepool.NewScratch()
 		cycles := 0
 		for _, syn := range syndromes {

@@ -53,8 +53,8 @@ var defs = []Def{
 	},
 	{
 		Name:    "REPRO_SFQ_KERNEL",
-		Desc:    "override the SFQ mesh stepping kernel",
-		Allowed: []string{"legacy", "bitplane"},
+		Desc:    "SFQ mesh stepping kernel; bitplane is the only kernel, so the knob stays only for perfbench's pinned environment",
+		Allowed: []string{"bitplane"},
 	},
 	{
 		Name:    "REPRO_SFQ_WIDTH",

@@ -27,7 +27,7 @@ func TestKnobTable(t *testing.T) {
 		{name: "REPRO_OBS_GUARD", value: "1", wantStr: "1", boolKnob: true, wantBool: true},
 		{name: "REPRO_OBS_GUARD", value: "on", boolKnob: true, wantPanic: true},
 		{name: "REPRO_SFQ_KERNEL", value: "", wantStr: ""},
-		{name: "REPRO_SFQ_KERNEL", value: "legacy", wantStr: "legacy"},
+		{name: "REPRO_SFQ_KERNEL", value: "legacy", wantPanic: true}, // retired kernel
 		{name: "REPRO_SFQ_KERNEL", value: "bitplane", wantStr: "bitplane"},
 		{name: "REPRO_SFQ_KERNEL", value: "bitplan", wantPanic: true}, // the motivating typo
 		{name: "REPRO_SFQ_KERNEL", value: "BITPLANE", wantPanic: true},
@@ -68,7 +68,7 @@ func TestUnregisteredKnobPanics(t *testing.T) {
 // legal values pass, a typo'd name or value fails.
 func TestCheckEnv(t *testing.T) {
 	t.Setenv("REPRO_MC_SHORT", "1")
-	t.Setenv("REPRO_SFQ_KERNEL", "legacy")
+	t.Setenv("REPRO_SFQ_KERNEL", "bitplane")
 	if err := CheckEnv(); err != nil {
 		t.Fatalf("CheckEnv with legal knobs: %v", err)
 	}

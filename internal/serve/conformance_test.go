@@ -98,7 +98,7 @@ func TestWireConformance(t *testing.T) {
 				for _, d := range []int{3, 5} {
 					for _, e := range []lattice.ErrorType{lattice.ZErrors, lattice.XErrors} {
 						g := pool.Graph(d, e)
-						ref := sfq.NewWithKernel(g, v, sfq.KernelBitplane)
+						ref := sfq.New(g, v)
 						syns := confSyndromes(d, e, trials)
 
 						var wg sync.WaitGroup
@@ -184,7 +184,7 @@ func TestHTTPConformance(t *testing.T) {
 	defer ts.Close()
 
 	g := pool.Graph(3, lattice.ZErrors)
-	ref := sfq.NewWithKernel(g, v, sfq.KernelBitplane)
+	ref := sfq.New(g, v)
 	syns := confSyndromes(3, lattice.ZErrors, confTrials(16, 6))
 
 	post := func(body any) (*http.Response, []byte) {

@@ -17,6 +17,13 @@ import (
 // chosen by REPRO_SFQ_WIDTH or the CPU auto-pick), so every
 // shift-and-mask pass progresses W·⌊64/(2d+1)⌋ in-flight decodes.
 //
+// It is one of the package's two production stepping kernels: the
+// scalar bit-plane kernel (Mesh, bitplane.go) decodes single syndromes
+// and meshes wider than one word, and BatchMesh steps every side ≤ 64
+// mesh through the fused single-sweep phases of batchwide.go at every
+// width. The original struct-of-bools kernel lives on only in the
+// tests, as the independent oracle both are diffed against.
+//
 // Lanes never interact — the lane masks stop every shift at the lane
 // seam and all cross-plane operations are pure bitwise combinations —
 // so each lane evolves exactly as a scalar bit-plane mesh would.
@@ -55,8 +62,6 @@ type BatchMesh struct {
 	hot, errOut, fired, sentPair, granted []uint64
 	growFrom, reqDirs, grants             [4][]uint64
 	growW, reqW, grantW, pairW, pairBW    bwavefront
-	sh                                    [4][]uint64
-	tmpA, tmpB                            []uint64
 
 	// Per-lane control state.
 	laneSyn       []int // syndrome index decoding in lane l, -1 when idle
@@ -67,12 +72,12 @@ type BatchMesh struct {
 	laneStats     []Stats
 	anyPrio       int // lanes with a nonzero priority offset (slow-path gate)
 
-	// Dirty-word bitmaps of the fused wide path (one bit per plane word,
+	// Dirty-word bitmaps of the fused step (one bit per plane word,
 	// n ≤ 256 because side ≤ 64 and W ≤ 4): fireDirty marks words where
 	// fire eligibility may have changed this step (a grow latch landed or
 	// a hot module terminated), hsDirty where a handshake may have
-	// completed (a grant was consumed). fireCompleteWide visits only
-	// marked words; see batchwide.go for the event analysis.
+	// completed (a grant was consumed). fireComplete visits only marked
+	// words; see batchwide.go for the event analysis.
 	fireDirty, hsDirty [4]uint64
 
 	// In-flight batch bookkeeping (valid only inside DecodeBatchInto).
@@ -193,15 +198,16 @@ func NewBatchWithLanes(g *lattice.Graph, v Variant, lanes int) *BatchMesh {
 	b.obsCycles = obs.NewLocal(obsFlushEvery,
 		obs.Default().Histogram(fmt.Sprintf("sfq_decode_cycles_d%d", geo.d)))
 	if geo.m > 64 {
-		b.scalarMesh = NewWithKernel(g, v, KernelBitplane)
+		b.scalarMesh = New(g, v)
 		b.lanes = 1
 		return b
 	}
 	b.bg = batchGeomFor(g, lanes)
 	b.lanes = lanes
 	n := b.bg.n
-	// One backing array for all planes, as newPlaneState lays out.
-	backing := make([]uint64, 63*n)
+	// One backing array for all planes: 5 state + 3×4 latch + 5×2×4
+	// wavefront = 57 planes.
+	backing := make([]uint64, 57*n)
 	next := func() []uint64 {
 		p := backing[:n:n]
 		backing = backing[n:]
@@ -210,14 +216,12 @@ func NewBatchWithLanes(g *lattice.Graph, v Variant, lanes int) *BatchMesh {
 	b.hot, b.errOut, b.fired, b.sentPair, b.granted = next(), next(), next(), next(), next()
 	for d := 0; d < 4; d++ {
 		b.growFrom[d], b.reqDirs[d], b.grants[d] = next(), next(), next()
-		b.sh[d] = next()
 	}
 	for _, w := range []*bwavefront{&b.growW, &b.reqW, &b.grantW, &b.pairW, &b.pairBW} {
 		for d := 0; d < 4; d++ {
 			w.cur[d], w.nxt[d] = next(), next()
 		}
 	}
-	b.tmpA, b.tmpB = next(), next()
 	b.laneSyn = make([]int, lanes)
 	b.laneHot = make([]int, lanes)
 	b.laneCountdown = make([]int, lanes)
@@ -663,39 +667,20 @@ func (b *BatchMesh) step() {
 
 	// Empty-wavefront phases are skipped outright — exact, since a phase
 	// fed an all-zero wavefront writes nothing (the any flags are exact).
-	// Wide layouts take the fused single-sweep phases (batchwide.go);
-	// the one-word layout keeps the multi-pass reference path.
 	var done uint64
-	if b.bg.words == 1 {
-		if b.growW.anyCur() != 0 {
-			b.moveGrows()
-		}
-		if b.reqW.anyCur() != 0 {
-			b.moveReqs()
-		}
-		if b.grantW.anyCur() != 0 {
-			b.moveGrants()
-		}
-		if b.pairW.anyCur() != 0 {
-			done = b.movePairs()
-		}
-		b.fireIntermediates()
-		b.completeHandshakes()
-	} else {
-		if b.growW.anyCur() != 0 {
-			b.moveGrowsWide()
-		}
-		if b.reqW.anyCur() != 0 {
-			b.moveReqsWide()
-		}
-		if b.grantW.anyCur() != 0 {
-			b.moveGrantsWide()
-		}
-		if b.pairW.anyCur() != 0 {
-			done = b.movePairsWide()
-		}
-		b.fireCompleteWide()
+	if b.growW.anyCur() != 0 {
+		b.moveGrows()
 	}
+	if b.reqW.anyCur() != 0 {
+		b.moveReqs()
+	}
+	if b.grantW.anyCur() != 0 {
+		b.moveGrants()
+	}
+	if b.pairW.anyCur() != 0 {
+		done = b.movePairs()
+	}
+	b.fireComplete()
 
 	for l, cd := range b.laneCountdown {
 		if cd == 0 {
@@ -737,300 +722,6 @@ func (b *BatchMesh) step() {
 				b.laneGlobalReset(l)
 				b.laneStats[l].Resets++
 			}
-		}
-	}
-}
-
-// moveGrows is planeState.moveGrows over the lane-packed planes.
-func (b *BatchMesh) moveGrows() {
-	bg, v := b.bg, b.variant
-	wm := bg.wmask
-	for d := 0; d < 4; d++ {
-		bg.shiftInto(b.sh[d], b.growW.cur[d], Dir(d))
-	}
-	// Pass 1: latch interior arrivals by entry side.
-	for d := 0; d < 4; d++ {
-		sh := b.sh[d]
-		gf := b.growFrom[Dir(d).Opposite()]
-		for k, in := range bg.interior {
-			gf[k] |= sh[k] & in
-		}
-	}
-	// Pass 2: propagate into territory no opposite front has swept.
-	for d := 0; d < 4; d++ {
-		sh := b.sh[d]
-		gf := b.growFrom[d]
-		nxt := b.growW.nxt[d]
-		var acc [4]uint64
-		for k, in := range bg.interior {
-			g := sh[k] & in &^ gf[k]
-			nxt[k] |= g
-			acc[k&wm] |= g
-		}
-		b.growW.orAny(&acc)
-	}
-	if !v.Boundary {
-		return
-	}
-	for d := 0; d < 4; d++ {
-		e := Dir(d).Opposite()
-		sh := b.sh[d]
-		for k, bd := range bg.boundary {
-			fb := sh[k] & bd &^ b.fired[k]
-			if fb == 0 {
-				continue
-			}
-			b.fired[k] |= fb
-			b.reqDirs[e][k] |= fb
-			if v.ReqGrant {
-				b.reqW.nxt[e][k] |= fb
-				b.reqW.nxtAny[k&wm] |= fb
-			} else {
-				b.sentPair[k] |= fb
-				b.pairW.nxt[e][k] |= fb
-				b.pairW.nxtAny[k&wm] |= fb
-				b.pairBW.nxt[e][k] |= fb
-				b.pairBW.nxtAny[k&wm] |= fb
-			}
-		}
-	}
-}
-
-// moveReqs is planeState.moveReqs with a per-lane grant priority: the
-// rotated retry offset is lane-local state, so when any lane is mid
-// retry the grant policy runs lane-by-lane over the lanes of the word's
-// column (the fast path — all lanes at fixed hardware priority — stays
-// whole-word).
-func (b *BatchMesh) moveReqs() {
-	bg := b.bg
-	wm := bg.wmask
-	for d := 0; d < 4; d++ {
-		bg.shiftInto(b.sh[d], b.reqW.cur[d], Dir(d))
-		sh := b.sh[d]
-		nxt := b.reqW.nxt[d]
-		var acc [4]uint64
-		for k, in := range bg.interior {
-			mv := sh[k] & in
-			pass := mv &^ b.hot[k]
-			sh[k] = mv & b.hot[k]
-			nxt[k] |= pass
-			acc[k&wm] |= pass
-		}
-		b.reqW.orAny(&acc)
-	}
-	for k := range bg.interior {
-		any := b.sh[0][k] | b.sh[1][k] | b.sh[2][k] | b.sh[3][k]
-		elig := any & b.hot[k] &^ b.granted[k]
-		if elig == 0 {
-			continue
-		}
-		if b.anyPrio == 0 {
-			var taken uint64
-			for _, e := range grantPrio {
-				c := b.sh[e.Opposite()][k] & elig &^ taken
-				if c != 0 {
-					b.grantW.nxt[e][k] |= c
-					b.grantW.nxtAny[k&wm] |= c
-					taken |= c
-				}
-			}
-		} else {
-			col := k & wm
-			for l := col * bg.perWord; l < bg.colEnd[col]; l++ {
-				lane := bg.laneBits[l]
-				el := elig & lane
-				if el == 0 {
-					continue
-				}
-				base := b.lanePrio[l]
-				if base == 0 {
-					var taken uint64
-					for _, e := range grantPrio {
-						c := b.sh[e.Opposite()][k] & el &^ taken
-						if c != 0 {
-							b.grantW.nxt[e][k] |= c
-							b.grantW.nxtAny[col] |= c
-							taken |= c
-						}
-					}
-					continue
-				}
-				for cls := 0; cls < 4; cls++ {
-					ecls := el & bg.classMask[cls][k]
-					if ecls == 0 {
-						continue
-					}
-					off := (base + cls) % 4
-					var taken uint64
-					for j := 0; j < 4; j++ {
-						e := grantPrio[(j+off)%4]
-						c := b.sh[e.Opposite()][k] & ecls &^ taken
-						if c != 0 {
-							b.grantW.nxt[e][k] |= c
-							b.grantW.nxtAny[col] |= c
-							taken |= c
-						}
-					}
-				}
-			}
-		}
-		b.granted[k] |= elig
-	}
-}
-
-// moveGrants is planeState.moveGrants over the lane-packed planes.
-func (b *BatchMesh) moveGrants() {
-	bg := b.bg
-	wm := bg.wmask
-	for _, d := range pairOrder {
-		bg.shiftInto(b.tmpA, b.grantW.cur[d], d)
-		e := d.Opposite()
-		nxt := b.grantW.nxt[d]
-		var acc [4]uint64
-		for k, in := range bg.interior {
-			mv := b.tmpA[k]
-			if mv == 0 {
-				continue
-			}
-			mvI := mv & in
-			cons := mvI & b.fired[k] & b.reqDirs[e][k] &^ b.grants[e][k]
-			b.grants[e][k] |= cons
-			pass := mvI &^ cons
-			nxt[k] |= pass
-			acc[k&wm] |= pass
-			bc := mv & bg.boundary[k] & b.fired[k] & b.reqDirs[e][k] &^ b.sentPair[k]
-			if bc != 0 {
-				b.sentPair[k] |= bc
-				b.pairW.nxt[e][k] |= bc
-				b.pairW.nxtAny[k&wm] |= bc
-				b.pairBW.nxt[e][k] |= bc
-				b.pairBW.nxtAny[k&wm] |= bc
-			}
-		}
-		b.grantW.orAny(&acc)
-	}
-}
-
-// movePairs is planeState.movePairs with per-lane accounting: pair
-// terminations decrement the owning lane's hot counter and Stats, and
-// the returned mask has bit l set when lane l completed a pairing this
-// cycle (its per-lane pairingDone).
-func (b *BatchMesh) movePairs() (done uint64) {
-	bg := b.bg
-	wm := bg.wmask
-	for _, d := range pairOrder {
-		bg.shiftInto(b.tmpA, b.pairW.cur[d], d)
-		bg.shiftInto(b.tmpB, b.pairBW.cur[d], d)
-		nxt, nxtB := b.pairW.nxt[d], b.pairBW.nxt[d]
-		var acc, accB [4]uint64
-		for k, in := range bg.interior {
-			mv := b.tmpA[k] & in
-			if mv == 0 {
-				continue
-			}
-			b.errOut[k] ^= mv
-			hits := mv & b.hot[k]
-			if hits != 0 {
-				b.hot[k] &^= hits
-				col := k & wm
-				for l := col * bg.perWord; l < bg.colEnd[col]; l++ {
-					hl := hits & bg.laneBits[l]
-					if hl == 0 {
-						continue
-					}
-					nh := bits.OnesCount64(hl)
-					b.laneHot[l] -= nh
-					b.laneStats[l].Pairings += nh
-					b.laneStats[l].BoundaryPairings += bits.OnesCount64(hl & b.tmpB[k])
-					done |= uint64(1) << uint(l)
-				}
-			}
-			pass := mv &^ hits
-			nxt[k] |= pass
-			acc[k&wm] |= pass
-			bp := b.tmpB[k] & pass
-			nxtB[k] |= bp
-			accB[k&wm] |= bp
-		}
-		b.pairW.orAny(&acc)
-		b.pairBW.orAny(&accB)
-	}
-	return done
-}
-
-// fireIntermediates is planeState.fireIntermediates over the
-// lane-packed planes. Lanes mid-reset have empty growFrom latches, so
-// they contribute nothing, matching the scalar blocked branch.
-func (b *BatchMesh) fireIntermediates() {
-	bg, v := b.bg, b.variant
-	wm := bg.wmask
-	gfN, gfE, gfS, gfW := b.growFrom[North], b.growFrom[East], b.growFrom[South], b.growFrom[West]
-	for k, in := range bg.interior {
-		elig := in &^ b.fired[k] &^ b.hot[k]
-		if elig == 0 {
-			continue
-		}
-		cWE := elig & gfW[k] & gfE[k]
-		rem := elig &^ cWE
-		cNS := rem & gfN[k] & gfS[k]
-		rem &^= cNS
-		cNW := rem & gfN[k] & gfW[k]
-		rem &^= cNW
-		cNE := rem & gfN[k] & gfE[k]
-		firedNew := cWE | cNS | cNW | cNE
-		if firedNew == 0 {
-			continue
-		}
-		b.fired[k] |= firedNew
-		setN := cNS | cNW | cNE
-		setS := cNS
-		setE := cWE | cNE
-		setW := cWE | cNW
-		b.reqDirs[North][k] |= setN
-		b.reqDirs[South][k] |= setS
-		b.reqDirs[East][k] |= setE
-		b.reqDirs[West][k] |= setW
-		if v.ReqGrant {
-			b.reqW.nxt[North][k] |= setN
-			b.reqW.nxt[South][k] |= setS
-			b.reqW.nxt[East][k] |= setE
-			b.reqW.nxt[West][k] |= setW
-			b.reqW.nxtAny[k&wm] |= firedNew
-		} else {
-			b.sentPair[k] |= firedNew
-			b.errOut[k] ^= firedNew
-			b.pairW.nxt[North][k] |= setN
-			b.pairW.nxt[South][k] |= setS
-			b.pairW.nxt[East][k] |= setE
-			b.pairW.nxt[West][k] |= setW
-			b.pairW.nxtAny[k&wm] |= firedNew
-		}
-	}
-}
-
-// completeHandshakes is planeState.completeHandshakes over the
-// lane-packed planes.
-func (b *BatchMesh) completeHandshakes() {
-	if !b.variant.ReqGrant {
-		return
-	}
-	bg := b.bg
-	wm := bg.wmask
-	for k, in := range bg.interior {
-		pend := (b.reqDirs[0][k] &^ b.grants[0][k]) |
-			(b.reqDirs[1][k] &^ b.grants[1][k]) |
-			(b.reqDirs[2][k] &^ b.grants[2][k]) |
-			(b.reqDirs[3][k] &^ b.grants[3][k])
-		ready := (b.fired[k] &^ b.sentPair[k]) & in &^ pend
-		if ready == 0 {
-			continue
-		}
-		b.sentPair[k] |= ready
-		b.errOut[k] ^= ready
-		for d := 0; d < 4; d++ {
-			p := ready & b.reqDirs[d][k]
-			b.pairW.nxt[d][k] |= p
-			b.pairW.nxtAny[k&wm] |= p
 		}
 	}
 }

@@ -79,7 +79,7 @@ func TestBatchMeshConformanceLowWeight(t *testing.T) {
 				widths = []int{MaxBatchLanes(d)}
 			}
 			for _, v := range []Variant{Baseline, WithReset, WithBoundary, Final} {
-				scalar := NewWithKernel(g, v, KernelBitplane)
+				scalar := New(g, v)
 				s := decodepool.NewScratch()
 				for _, lanes := range widths {
 					batch := NewBatchWithLanes(g, v, lanes)
@@ -114,7 +114,7 @@ func TestBatchMeshConformanceRandom(t *testing.T) {
 					variants = []Variant{Final}
 				}
 				for _, v := range variants {
-					scalar := NewWithKernel(g, v, KernelBitplane)
+					scalar := New(g, v)
 					batch := NewBatch(g, v)
 					s := decodepool.NewScratch()
 					for b := 0; b < batches; b++ {
@@ -141,7 +141,7 @@ func TestBatchMeshConformanceRandom(t *testing.T) {
 func TestBatchMeshSingleDecodeAdapters(t *testing.T) {
 	l := lattice.MustNew(7)
 	g := l.MatchingGraph(lattice.ZErrors)
-	scalar := NewWithKernel(g, Final, KernelBitplane)
+	scalar := New(g, Final)
 	batch := NewBatch(g, Final)
 	s := decodepool.NewScratch()
 	rng := rand.New(rand.NewSource(23))
@@ -188,7 +188,7 @@ func TestBatchMeshWideFallback(t *testing.T) {
 	}
 	l := lattice.MustNew(d)
 	g := l.MatchingGraph(lattice.ZErrors)
-	scalar := NewWithKernel(g, Final, KernelBitplane)
+	scalar := New(g, Final)
 	batch := NewBatch(g, Final)
 	if batch.Lanes() != 1 {
 		t.Fatalf("fallback lanes = %d, want 1", batch.Lanes())
@@ -223,7 +223,7 @@ func FuzzBatchMesh(f *testing.F) {
 		g := graphs[d]
 		v := variants[vSel%4]
 		lanes := 1 + int(wSel)%MaxBatchLanes(d)
-		scalar := NewWithKernel(g, v, KernelBitplane)
+		scalar := New(g, v)
 		batch := NewBatchWithLanes(g, v, lanes)
 		s := decodepool.NewScratch()
 		// Slice the fuzz bytes into a batch of syndromes, one byte per

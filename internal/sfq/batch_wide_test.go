@@ -12,9 +12,9 @@ import (
 // The width-conformance suite pins the W-word plane layouts against the
 // scalar bit-plane kernel: for every supported width (1, 2 and 4 words)
 // the batch kernel must produce bit-identical corrections and per-lane
-// Stats. W=1 steps through the multi-pass reference path and W>1
-// through the fused event-driven path, so width conformance is also
-// fused-vs-reference conformance.
+// Stats. Every width steps through the same fused phases, so the widths
+// differ only in lane layout: word columns, lane seams and a partially
+// filled last column.
 
 // TestBatchMeshWidthConformance crosses distances, variants and error
 // types with every explicit plane width on seeded random syndromes.
@@ -32,7 +32,7 @@ func TestBatchMeshWidthConformance(t *testing.T) {
 				variants = []Variant{Final}
 			}
 			for _, v := range variants {
-				scalar := NewWithKernel(g, v, KernelBitplane)
+				scalar := New(g, v)
 				s := decodepool.NewScratch()
 				for _, words := range []int{1, 2, 4} {
 					batch := NewBatchWithWidth(g, v, words)
@@ -129,7 +129,7 @@ func FuzzWideBatch(f *testing.F) {
 		g := graphs[d]
 		v := variants[vSel%4]
 		words := widths[int(wSel)%len(widths)]
-		scalar := NewWithKernel(g, v, KernelBitplane)
+		scalar := New(g, v)
 		batch := NewBatchWithWidth(g, v, words)
 		s := decodepool.NewScratch()
 		nc := g.NumChecks()

@@ -222,71 +222,3 @@ func (bg *batchGeom) laneBit(l, i int) (word int, bit uint64) {
 	m := bg.geo.m
 	return i/m*bg.words + bg.laneCol[l], uint64(1) << uint(l%bg.perWord*m+i%m)
 }
-
-// shiftInto writes src advanced one hop in direction d into dst,
-// per lane: vertical shifts are whole-row moves of W-word row groups
-// (lanes travel together), horizontal shifts mask out the bit that
-// would cross a lane seam. dst must not alias src.
-func (bg *batchGeom) shiftInto(dst, src []uint64, d Dir) {
-	w := bg.words
-	switch d {
-	case North: // row r receives row r+1
-		copy(dst, src[w:])
-		for k := len(dst) - w; k < len(dst); k++ {
-			dst[k] = 0
-		}
-	case South: // row r receives row r-1
-		copy(dst[w:], src[:len(src)-w])
-		for k := 0; k < w; k++ {
-			dst[k] = 0
-		}
-	case East: // column c receives column c-1, per lane
-		em := bg.eastMask
-		if w == 4 {
-			shiftEast4(dst, src, em)
-			return
-		}
-		for r, v := range src {
-			dst[r] = v << 1 & em
-		}
-	case West: // column c receives column c+1, per lane
-		wm := bg.westMask
-		if w == 4 {
-			shiftWest4(dst, src, wm)
-			return
-		}
-		for r, v := range src {
-			dst[r] = v >> 1 & wm
-		}
-	}
-}
-
-// shiftEast4 is the unrolled four-word East shift: four independent
-// single-word chains per row group keep the ALU ports saturated.
-func shiftEast4(dst, src []uint64, em uint64) {
-	n := len(src) &^ 3
-	dst = dst[:n]
-	src = src[:n]
-	for k := 0; k < n; k += 4 {
-		d4 := dst[k : k+4 : k+4]
-		s4 := src[k : k+4 : k+4]
-		d4[0] = s4[0] << 1 & em
-		d4[1] = s4[1] << 1 & em
-		d4[2] = s4[2] << 1 & em
-		d4[3] = s4[3] << 1 & em
-	}
-}
-
-func shiftWest4(dst, src []uint64, wm uint64) {
-	n := len(src) &^ 3
-	dst = dst[:n]
-	src = src[:n]
-	for k := 0; k < n; k += 4 {
-		d4 := dst[k : k+4 : k+4]
-		s4 := src[k : k+4 : k+4]
-		d4[0] = s4[0] >> 1 & wm
-		d4[1] = s4[1] >> 1 & wm
-		d4[2] = s4[2] >> 1 & wm
-		d4[3] = s4[3] >> 1 & wm
-	}
-}

@@ -2,34 +2,32 @@ package sfq
 
 import "math/bits"
 
-// The fused wide stepping path. For plane widths above one word the
-// multi-pass phase structure inherited from the scalar kernel (shift
-// planes into scratch, then latch, then propagate, each a separate
-// sweep) leaves most of the step budget in loop overhead and scratch
-// traffic: moveGrows alone is 16 row sweeps. Every phase of the batch
-// kernel is word-local once the shifted arrival values are in hand —
+// The batch kernel's stepping phases, at every plane width. The scalar
+// bit-plane kernel (bitplane.go) runs each phase as several row sweeps:
+// shift planes into scratch, then latch, then propagate. Here every
+// phase is word-local once the shifted arrival values are in hand —
 // vertical shifts read the word W positions away, horizontal shifts
-// never cross a word (lanes are packed within words) — so each phase
-// collapses into a single sweep that materializes all four directions'
-// arrivals in registers, skips words with no signal early, and touches
-// every plane word at most once. The fused phases compute bit-for-bit
-// the same transitions as the multi-pass originals (the conformance
-// suite pins all widths against the scalar kernel); the W=1 layout
-// keeps the multi-pass path as the reference and baseline.
+// never cross a word (lanes are packed within words) — so each phase is
+// a single sweep that materializes all four directions' arrivals in
+// registers, skips words with no signal early, and touches every plane
+// word at most once. The phases compute bit-for-bit the same
+// transitions as the scalar kernel's (the conformance suite pins every
+// width and lane count against it).
 //
-// Ordering notes carried over from the originals:
-//   - movePairsWide and moveGrantsWide process travel directions in
-//     pairOrder [South, East, West, North] *per word*, which reproduces
-//     the sequential-sweep semantics exactly because every update those
+// Ordering notes relative to the scalar kernel's sweeps:
+//   - movePairs and moveGrants process travel directions in pairOrder
+//     [South, East, West, North] *per word*, which reproduces the
+//     sequential-sweep semantics exactly because every update those
 //     sweeps make is word-local (hot, errOut, sentPair, grants all live
 //     at the destination word).
-//   - fireCompleteWide fuses fireIntermediates and completeHandshakes:
-//     the handshake scan reads only state the fire scan writes at the
-//     same word, so running both at word k before moving on is
-//     equivalent to two full sweeps.
+//   - fireComplete fuses fireIntermediates and completeHandshakes: the
+//     handshake scan reads only state the fire scan writes at the same
+//     word, so running both at word k before moving on is equivalent to
+//     two full sweeps.
 
-// moveGrowsWide is moveGrows as one fused sweep.
-func (b *BatchMesh) moveGrowsWide() {
+// moveGrows advances grow wavefronts one module and latches arrivals
+// (planeState.moveGrows as one fused sweep).
+func (b *BatchMesh) moveGrows() {
 	bg, v := b.bg, b.variant
 	n := bg.n
 	w := bg.words
@@ -69,7 +67,7 @@ func (b *BatchMesh) moveGrowsWide() {
 		in := interior[k]
 		if (shN|shS|shE|shW)&in != 0 {
 			// A latch is landing at this word: fire eligibility may
-			// change, so fireCompleteWide must re-evaluate it.
+			// change, so fireComplete must re-evaluate it.
 			b.fireDirty[k>>6] |= 1 << (uint(k) & 63)
 		}
 		// Latch interior arrivals by entry side (pass 1), then
@@ -140,10 +138,12 @@ func (b *BatchMesh) moveGrowsWide() {
 	b.growW.orAny(&acc)
 }
 
-// moveReqsWide is moveReqs as one fused sweep; the rotated-priority
-// slow path (some lane mid-retry) stays per lane over the word's
-// column.
-func (b *BatchMesh) moveReqsWide() {
+// moveReqs is planeState.moveReqs as one fused sweep, with a per-lane
+// grant priority: the rotated retry offset is lane-local state, so when
+// any lane is mid retry the grant policy runs lane-by-lane over the
+// lanes of the word's column (the fast path — all lanes at fixed
+// hardware priority — stays whole-word).
+func (b *BatchMesh) moveReqs() {
 	bg := b.bg
 	n := bg.n
 	w := bg.words
@@ -266,9 +266,9 @@ func (b *BatchMesh) moveReqsWide() {
 	b.reqW.orAny(&acc)
 }
 
-// moveGrantsWide is moveGrants as one fused sweep, directions processed
-// in pairOrder per word.
-func (b *BatchMesh) moveGrantsWide() {
+// moveGrants is planeState.moveGrants as one fused sweep, directions
+// processed in pairOrder per word.
+func (b *BatchMesh) moveGrants() {
 	bg := b.bg
 	n := bg.n
 	w := bg.words
@@ -313,7 +313,7 @@ func (b *BatchMesh) moveGrantsWide() {
 	b.grantW.orAny(&acc)
 }
 
-// grantConsume is one travel direction of moveGrantsWide at word k:
+// grantConsume is one travel direction of moveGrants at word k:
 // interior consumption, pass-through, and the boundary sentPair latch.
 func (b *BatchMesh) grantConsume(k int, mv, in, bd, f uint64, e, d Dir, acc *[4]uint64) {
 	wm := b.bg.wmask
@@ -323,7 +323,7 @@ func (b *BatchMesh) grantConsume(k int, mv, in, bd, f uint64, e, d Dir, acc *[4]
 	if cons != 0 {
 		b.grants[e][k] |= cons
 		// A grant was consumed: the module's handshake may now be
-		// complete, so fireCompleteWide must re-check this word.
+		// complete, so fireComplete must re-check this word.
 		b.hsDirty[k>>6] |= 1 << (uint(k) & 63)
 	}
 	pass := mvI &^ cons
@@ -339,9 +339,12 @@ func (b *BatchMesh) grantConsume(k int, mv, in, bd, f uint64, e, d Dir, acc *[4]
 	}
 }
 
-// movePairsWide is movePairs as one fused sweep, directions processed
-// in pairOrder per word; per-lane hit accounting is unchanged.
-func (b *BatchMesh) movePairsWide() (done uint64) {
+// movePairs is planeState.movePairs as one fused sweep, directions
+// processed in pairOrder per word, with per-lane accounting: pair
+// terminations decrement the owning lane's hot counter and Stats, and
+// the returned mask has bit l set when lane l completed a pairing this
+// cycle (its per-lane pairingDone).
+func (b *BatchMesh) movePairs() (done uint64) {
 	bg := b.bg
 	n := bg.n
 	w := bg.words
@@ -382,7 +385,7 @@ func (b *BatchMesh) movePairsWide() (done uint64) {
 	return done
 }
 
-// pairStep is one travel direction of movePairsWide at word k: error
+// pairStep is one travel direction of movePairs at word k: error
 // marking, hot termination with per-lane accounting, and pass-through
 // with boundary provenance.
 func (b *BatchMesh) pairStep(k int, mv, pb uint64, d Dir) (done uint64) {
@@ -420,12 +423,12 @@ func (b *BatchMesh) pairStep(k int, mv, pb uint64, d Dir) (done uint64) {
 	return done
 }
 
-// fireCompleteWide is fireIntermediates + completeHandshakes restricted
-// to the dirty words the earlier phases marked this step. Both scans
-// are event-driven:
+// fireComplete is planeState.fireIntermediates + completeHandshakes
+// restricted to the dirty words the earlier phases marked this step.
+// Both scans are event-driven:
 //
 //   - Fire eligibility at a word changes only when a grow latch lands
-//     there (moveGrowsWide marks fireDirty) or a hot module terminates
+//     there (moveGrows marks fireDirty) or a hot module terminates
 //     there (pairStep marks it) — fired bits and lane scrubs/resets only
 //     shrink the eligible set, and a scrub or reset also clears the
 //     lane's growFrom latches, so no unmarked word can newly fire.
@@ -440,7 +443,7 @@ func (b *BatchMesh) pairStep(k int, mv, pb uint64, d Dir) (done uint64) {
 // Processing all fire words before all handshake words preserves the
 // scalar kernel's two-sweep order; every update is word-local, so the
 // sparse visit order within a sweep cannot change the outcome.
-func (b *BatchMesh) fireCompleteWide() {
+func (b *BatchMesh) fireComplete() {
 	fd := b.fireDirty
 	b.fireDirty = [4]uint64{}
 	hd := b.hsDirty
@@ -467,7 +470,9 @@ func (b *BatchMesh) fireCompleteWide() {
 	}
 }
 
-// fireWord is fireIntermediates at one plane word.
+// fireWord is planeState.fireIntermediates at one plane word. Lanes
+// mid-reset have empty growFrom latches, so they contribute nothing,
+// matching the scalar kernel's blocked branch.
 func (b *BatchMesh) fireWord(k int, reqGrant bool) {
 	bg := b.bg
 	wm := bg.wmask
@@ -513,7 +518,7 @@ func (b *BatchMesh) fireWord(k int, reqGrant bool) {
 	}
 }
 
-// handshakeWord is completeHandshakes at one plane word.
+// handshakeWord is planeState.completeHandshakes at one plane word.
 func (b *BatchMesh) handshakeWord(k int) {
 	bg := b.bg
 	wm := bg.wmask

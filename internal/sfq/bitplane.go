@@ -7,10 +7,12 @@ import (
 // The bit-plane kernel packs every mesh predicate into []uint64 planes —
 // one bit per cell, one plane per (signal class × direction) plus the
 // hot/fired/granted/sentPair/errOut state — and advances wavefronts with
-// word-parallel shift-and-mask operations over whole rows. It is a
-// cycle-exact re-expression of the legacy kernel: every phase computes
-// the same per-cell transition, just 64 cells per instruction, and the
-// conformance suite pins corrections and Stats bit-identical.
+// word-parallel shift-and-mask operations over whole rows. It is the
+// scalar production kernel and a cycle-exact re-expression of the
+// original struct-of-bools kernel, which the tests keep as an
+// independent oracle: every phase computes the same per-cell
+// transition, just 64 cells per instruction, and the conformance suite
+// pins corrections and Stats bit-identical.
 //
 // Two scan-order details of the legacy kernel are load-bearing and
 // preserved here:
@@ -223,8 +225,9 @@ func (ps *planeState) quiescent() bool {
 	return ps.growW.curAny|ps.reqW.curAny|ps.grantW.curAny|ps.pairW.curAny == 0
 }
 
-// globalReset mirrors Mesh.globalReset: everything but pair propagation
-// and error outputs is cleared and inputs block for ResetDepth cycles.
+// globalReset implements the §VI-A reset: everything but pair
+// propagation and error outputs is cleared and module inputs block for
+// ResetDepth cycles (the circuit depth).
 func (ps *planeState) globalReset() {
 	for d := 0; d < 4; d++ {
 		clearPlane(ps.growFrom[d])
@@ -241,7 +244,7 @@ func (ps *planeState) globalReset() {
 	ps.mesh.resetCountdown = ResetDepth
 }
 
-// step advances the mesh one clock (bit-plane version of Mesh.step).
+// step advances the mesh one clock.
 func (ps *planeState) step() {
 	m := ps.mesh
 	ps.growW.clearNext()
@@ -289,11 +292,14 @@ func (ps *planeState) step() {
 	}
 }
 
-// moveGrows advances grow wavefronts one module and latches arrivals;
-// see Mesh.moveGrows for the annihilation rationale. All arrivals latch
-// into growFrom before propagation is decided, so head-on meetings stop
-// both fronts symmetrically — exactly the two-pass structure of the
-// legacy kernel.
+// moveGrows advances grow wavefronts one module and latches arrivals.
+// Opposing wavefronts annihilate where they meet: a grow signal does not
+// continue into territory an opposite-direction grow has already swept,
+// so the meeting module is the unique intermediate on the line — without
+// this, the two fronts would latch every module between the endpoints
+// and flood the handshake with spurious intermediates. All arrivals
+// latch into growFrom before propagation is decided, so head-on
+// meetings stop both fronts symmetrically.
 func (ps *planeState) moveGrows() {
 	geo, v := ps.geo, ps.mesh.variant
 	for d := 0; d < 4; d++ {
@@ -453,11 +459,13 @@ func (ps *planeState) moveGrants() {
 	}
 }
 
-// movePairs advances pair signals, toggling error outputs and clearing
-// hot modules they terminate at; see Mesh.movePairs. Directions run in
-// legacy arrival order so that when two pair signals reach one hot
-// module in the same cycle, the same one terminates there and the same
-// one passes through.
+// movePairs advances pair signals, toggling the error output of every
+// module they reach (chains from successive pairings that cross the
+// same data qubit must cancel, Pauli operators being self-inverse) and
+// clearing hot modules they terminate at. Directions run in legacy
+// arrival order so that when two pair signals reach one hot module in
+// the same cycle, the same one terminates there and the same one passes
+// through.
 func (ps *planeState) movePairs() bool {
 	geo := ps.geo
 	m := ps.mesh
@@ -571,8 +579,10 @@ func (ps *planeState) completeHandshakes() {
 }
 
 // drainToBoundary force-pairs remaining hot modules with their nearest
-// boundary; bit-plane version of Mesh.drainToBoundary, iterating hot
-// cells in the same ascending order.
+// boundary, toggling the error outputs along the straight-line chain
+// and charging the cycles the drive would take (request, grant and pair
+// traversals plus a reset per pairing). Hot cells go in ascending
+// order.
 func (ps *planeState) drainToBoundary() {
 	geo := ps.geo
 	m := ps.mesh

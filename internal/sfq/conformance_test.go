@@ -12,7 +12,7 @@ import (
 )
 
 // The conformance suite pins the bit-plane kernel bit-identical to the
-// legacy struct-of-bools reference: same correction qubits, same Stats
+// legacy struct-of-bools oracle (legacy_oracle_test.go): same correction qubits, same Stats
 // (cycles, pairings, resets, retries, fallbacks, unresolved) for every
 // variant, error type, and syndrome thrown at them.
 
@@ -20,14 +20,15 @@ func confShort() bool {
 	return testing.Short() || knob.Bool("REPRO_MC_SHORT")
 }
 
-// kernelPair builds a legacy and a bit-plane mesh over the same graph.
-func kernelPair(g *lattice.Graph, v Variant) (*Mesh, *Mesh) {
-	return NewWithKernel(g, v, KernelLegacy), NewWithKernel(g, v, KernelBitplane)
+// kernelPair builds a legacy oracle and a bit-plane mesh over the same
+// graph.
+func kernelPair(g *lattice.Graph, v Variant) (*legacyMesh, *Mesh) {
+	return newLegacy(g, v), New(g, v)
 }
 
 // assertSameDecode decodes syn on both meshes and fails on any
 // divergence in corrections or stats.
-func assertSameDecode(t *testing.T, legacy, bit *Mesh, syn []bool, desc string) {
+func assertSameDecode(t *testing.T, legacy *legacyMesh, bit *Mesh, syn []bool, desc string) {
 	t.Helper()
 	cl, sl, errL := legacy.DecodeWithStats(syn)
 	cb, sb, errB := bit.DecodeWithStats(syn)
@@ -155,8 +156,77 @@ func TestBitplaneConformanceReuse(t *testing.T) {
 	}
 }
 
-// FuzzMesh cross-checks the two kernels on fuzzer-chosen (distance,
-// variant, syndrome) triples.
+// TestBitplaneConformanceMultiWord diffs the multi-word bit-plane path
+// against the legacy oracle on corrections and full Stats. At d=33 the
+// mesh side is 67, so every plane row spans two words: the cross-word
+// carries of the row shifts and the per-word correction and drain scans
+// run only here. The BatchMesh side > 64 fallback (a private scalar
+// mesh, one lane) is checked against the same oracle. Weight-1 errors
+// on the data qubits around the word seam come first, then seeded
+// random syndromes over all variants.
+func TestBitplaneConformanceMultiWord(t *testing.T) {
+	const d = 33
+	l := lattice.MustNew(d)
+	geo := geomFor(l.MatchingGraph(lattice.ZErrors))
+	if geo.words != 2 {
+		t.Fatalf("d=%d: %d words per plane row, want 2", d, geo.words)
+	}
+	trials := 3
+	if confShort() {
+		trials = 1
+	}
+	// Mesh columns 61..66 straddle the bit-63/bit-64 seam; mesh column c
+	// is lattice column c-1.
+	var seamQubits []int
+	for _, s := range l.DataSites() {
+		if s.Col+1 >= 61 && s.Col+1 <= 66 {
+			seamQubits = append(seamQubits, l.QubitIndex(s))
+		}
+	}
+	f := pauli.NewFrame(l.NumQubits())
+	s := decodepool.NewScratch()
+	for _, etype := range []lattice.ErrorType{lattice.ZErrors, lattice.XErrors} {
+		g := l.MatchingGraph(etype)
+		for _, v := range []Variant{Baseline, WithReset, WithBoundary, Final} {
+			legacy, bit := kernelPair(g, v)
+			batch := NewBatch(g, v)
+			check := func(syn []bool, desc string) {
+				t.Helper()
+				assertSameDecode(t, legacy, bit, syn, desc)
+				wantC, want, _ := legacy.DecodeWithStats(syn)
+				wantQ := fmt.Sprint(wantC.Qubits)
+				corr, err := batch.DecodeBatchInto(g, [][]bool{syn}, s)
+				if err != nil {
+					t.Fatalf("%s: batch fallback: %v", desc, err)
+				}
+				if got := batch.LaneStats(0); got != want {
+					t.Fatalf("%s: batch fallback stats diverge:\nlegacy %+v\nbatch  %+v", desc, want, got)
+				}
+				if got := fmt.Sprint(corr[0].Qubits); got != wantQ {
+					t.Fatalf("%s: batch fallback corrections diverge:\nlegacy %s\nbatch  %s", desc, wantQ, got)
+				}
+			}
+			if v == Final {
+				for _, q := range seamQubits {
+					check(errorSyndrome(l, g, f, q), fmt.Sprintf("d=%d %v %s err{%d}", d, etype, v.Name(), q))
+				}
+			}
+			rng := rand.New(rand.NewSource(3300 + int64(etype)))
+			for _, p := range []float64{0.003, 0.01, 0.03} {
+				for trial := 0; trial < trials; trial++ {
+					syn := make([]bool, g.NumChecks())
+					for i := range syn {
+						syn[i] = rng.Float64() < p
+					}
+					check(syn, fmt.Sprintf("d=%d %v %s p=%g trial=%d", d, etype, v.Name(), p, trial))
+				}
+			}
+		}
+	}
+}
+
+// FuzzMesh cross-checks the bit-plane kernel against the legacy oracle
+// on fuzzer-chosen (distance, variant, syndrome) triples.
 func FuzzMesh(f *testing.F) {
 	f.Add(uint8(0), uint8(3), []byte{0x01})
 	f.Add(uint8(1), uint8(0), []byte{0xff, 0x10})
@@ -172,11 +242,15 @@ func FuzzMesh(f *testing.F) {
 	for _, d := range dists {
 		graphs[d] = lattice.MustNew(d).MatchingGraph(lattice.ZErrors)
 	}
-	meshes := map[pairKey][2]*Mesh{}
+	type meshPair struct {
+		legacy *legacyMesh
+		bit    *Mesh
+	}
+	meshes := map[pairKey]meshPair{}
 	for _, d := range dists {
 		for vi, v := range variants {
 			legacy, bit := kernelPair(graphs[d], v)
-			meshes[pairKey{d, uint8(vi)}] = [2]*Mesh{legacy, bit}
+			meshes[pairKey{d, uint8(vi)}] = meshPair{legacy, bit}
 		}
 	}
 	f.Fuzz(func(t *testing.T, dSel, vSel uint8, synBytes []byte) {
@@ -189,13 +263,13 @@ func FuzzMesh(f *testing.F) {
 				syn[i] = synBytes[i/8]>>(i%8)&1 == 1
 			}
 		}
-		assertSameDecode(t, pair[0], pair[1], syn, fmt.Sprintf("fuzz d=%d v=%d", d, vSel%4))
+		assertSameDecode(t, pair.legacy, pair.bit, syn, fmt.Sprintf("fuzz d=%d v=%d", d, vSel%4))
 	})
 }
 
 // TestMeshDecodeIntoZeroAllocs is the PR 2 guarantee extended to the
 // mesh decoder: a warmed-up pooled mesh decodes with zero heap
-// allocations at d=9, on both kernels.
+// allocations at d=9.
 func TestMeshDecodeIntoZeroAllocs(t *testing.T) {
 	l := lattice.MustNew(9)
 	g := l.MatchingGraph(lattice.ZErrors)
@@ -207,24 +281,22 @@ func TestMeshDecodeIntoZeroAllocs(t *testing.T) {
 			syndromes[i][j] = rng.Float64() < 0.08
 		}
 	}
-	for _, k := range []Kernel{KernelBitplane, KernelLegacy} {
-		mesh := NewWithKernel(g, Final, k)
-		s := decodepool.NewScratch()
-		for _, syn := range syndromes {
-			if _, err := mesh.DecodeInto(g, syn, s); err != nil {
-				t.Fatal(err)
-			}
+	mesh := New(g, Final)
+	s := decodepool.NewScratch()
+	for _, syn := range syndromes {
+		if _, err := mesh.DecodeInto(g, syn, s); err != nil {
+			t.Fatal(err)
 		}
-		i := 0
-		allocs := testing.AllocsPerRun(len(syndromes)*4, func() {
-			if _, err := mesh.DecodeInto(g, syndromes[i%len(syndromes)], s); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		})
-		if allocs != 0 {
-			t.Errorf("kernel %s: %.1f allocs/decode, want 0", k, allocs)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(syndromes)*4, func() {
+		if _, err := mesh.DecodeInto(g, syndromes[i%len(syndromes)], s); err != nil {
+			t.Fatal(err)
 		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocs/decode, want 0", allocs)
 	}
 }
 

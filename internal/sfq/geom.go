@@ -150,6 +150,23 @@ func (geo *meshGeom) neighbor(i int, d Dir) int {
 	return r*geo.m + c
 }
 
+// drainDir returns the direction and hop count of cell i's nearest
+// boundary edge for the geometry's error type.
+func (geo *meshGeom) drainDir(i int) (Dir, int) {
+	if geo.e == lattice.ZErrors {
+		c := i % geo.m
+		if c <= geo.m-1-c {
+			return West, c
+		}
+		return East, geo.m - 1 - c
+	}
+	r := i / geo.m
+	if r <= geo.m-1-r {
+		return North, r
+	}
+	return South, geo.m - 1 - r
+}
+
 // planeBit reports whether cell i is set in the plane.
 func (geo *meshGeom) planeBit(p []uint64, i int) bool {
 	r, c := i/geo.m, i%geo.m

@@ -22,7 +22,6 @@ import (
 // free list.
 type Pool struct {
 	variant Variant
-	kernel  Kernel
 
 	mu        sync.Mutex
 	graphs    map[poolKey]*lattice.Graph
@@ -39,7 +38,7 @@ type PoolStats struct {
 	Hits        int64 // Gets served from the free list
 	Misses      int64 // Gets that built a new mesh
 	Puts        int64 // meshes accepted back
-	Foreign     int64 // rejected Puts: wrong variant/kernel or another pool's mesh
+	Foreign     int64 // rejected Puts: wrong variant or another pool's mesh
 	DoublePuts  int64 // rejected Puts: mesh already parked in this pool
 	Outstanding int64 // handed out and not yet returned
 }
@@ -69,15 +68,10 @@ var (
 	poolOutstanding = obs.Default().Gauge("sfq_pool_outstanding")
 )
 
-// NewPool returns a pool of meshes with the given design variant and
-// the DefaultKernel.
-func NewPool(v Variant) *Pool { return NewPoolWithKernel(v, DefaultKernel) }
-
-// NewPoolWithKernel returns a pool with an explicit stepping kernel.
-func NewPoolWithKernel(v Variant, k Kernel) *Pool {
+// NewPool returns a pool of meshes with the given design variant.
+func NewPool(v Variant) *Pool {
 	return &Pool{
 		variant:   v,
-		kernel:    k,
 		graphs:    map[poolKey]*lattice.Graph{},
 		free:      map[poolKey][]*Mesh{},
 		freeBatch: map[batchPoolKey][]*BatchMesh{},
@@ -132,19 +126,19 @@ func (p *Pool) Get(d int, e lattice.ErrorType) *Mesh {
 	g := p.graphLocked(k)
 	p.mu.Unlock()
 	poolMisses.Inc()
-	m := NewWithKernel(g, p.variant, p.kernel)
+	m := New(g, p.variant)
 	m.owner = p
 	return m
 }
 
 // Put resets the mesh, flushes its pending telemetry, and parks it on
 // the free list. Rejected — counted, never mixed in — are meshes whose
-// variant or kernel differ from the pool's, meshes owned by another
-// pool, and meshes already parked here (a double Put would alias one
-// mesh into two future Gets). A compatible mesh built outside any pool
-// is adopted without touching the outstanding count.
+// variant differs from the pool's, meshes owned by another pool, and
+// meshes already parked here (a double Put would alias one mesh into
+// two future Gets). A compatible mesh built outside any pool is adopted
+// without touching the outstanding count.
 func (p *Pool) Put(m *Mesh) {
-	if m == nil || m.variant != p.variant || m.kernel != p.kernel {
+	if m == nil || m.variant != p.variant {
 		p.mu.Lock()
 		p.stats.Foreign++
 		p.mu.Unlock()
@@ -185,8 +179,7 @@ func (p *Pool) Put(m *Mesh) {
 
 // GetBatch returns an idle SWAR batch mesh for (d, e) at the maximum
 // lane width for d, reusing a previously PutBatch mesh when one is
-// available. Batch meshes always run the bit-plane stepping regardless
-// of the pool's scalar kernel, and share the pool's accounting.
+// available. Batch meshes share the pool's accounting.
 func (p *Pool) GetBatch(d int, e lattice.ErrorType) *BatchMesh {
 	k := batchPoolKey{d: d, e: e, lanes: MaxBatchLanes(d)}
 	p.mu.Lock()

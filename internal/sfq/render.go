@@ -21,43 +21,16 @@ func (m *Mesh) SetTracer(t Tracer) { m.tracer = t }
 //	·  idle interior module
 //
 // Signals take precedence over the chain marking, which takes
-// precedence over idle. Both kernels render identically.
+// precedence over idle.
 func (m *Mesh) Render() string {
 	var b strings.Builder
 	for r := 0; r < m.geo.m; r++ {
 		for c := 0; c < m.geo.m; c++ {
-			i := m.index(r, c)
-			b.WriteString(m.cellGlyph(i))
+			b.WriteString(m.planes.cellGlyph(m.geo.index(r, c)))
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func (m *Mesh) cellGlyph(i int) string {
-	if m.planes != nil {
-		return m.planes.cellGlyph(i)
-	}
-	switch {
-	case m.geo.kind[i] == cellInert:
-		return " "
-	case m.hot[i]:
-		return "H"
-	case m.pair[i] != [4]bool{}:
-		return "P"
-	case m.grant[i] != [4]bool{}:
-		return "G"
-	case m.req[i] != [4]bool{}:
-		return "r"
-	case m.grow[i] != [4]bool{}:
-		return "*"
-	case m.errOut[i] && m.geo.kind[i] == cellInterior:
-		return "#"
-	case m.geo.kind[i] == cellBoundary:
-		return "="
-	default:
-		return "·"
-	}
 }
 
 func (ps *planeState) cellGlyph(i int) string {

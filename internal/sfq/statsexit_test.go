@@ -9,8 +9,8 @@ import (
 	"repro/internal/lattice"
 )
 
-// Every Decode exit path must populate Stats the same way in all three
-// kernels (legacy, bitplane, SWAR batch), and no give-up may be silent:
+// Every Decode exit path must populate Stats the same way in the legacy
+// oracle and both production kernels (bitplane, SWAR batch), and no give-up may be silent:
 // a decode where the pairing protocol failed on some module always shows
 // Unresolved > 0 (with Fallbacks == Unresolved when the watchdog drained
 // them). Escalation policies in internal/twolevel key off these fields,
@@ -35,8 +35,8 @@ func exitClass(st Stats) string {
 // returning the shared Stats.
 func decodeAllKernels(t *testing.T, g *lattice.Graph, v Variant, maxCycles int, syn []bool, s *decodepool.Scratch) Stats {
 	t.Helper()
-	leg := NewWithKernel(g, v, KernelLegacy)
-	bit := NewWithKernel(g, v, KernelBitplane)
+	leg := newLegacy(g, v)
+	bit := New(g, v)
 	bat := NewBatch(g, v)
 	if maxCycles > 0 {
 		leg.MaxCycles, bit.MaxCycles, bat.MaxCycles = maxCycles, maxCycles, maxCycles
