@@ -1,8 +1,8 @@
 // Command bench measures the decode hot path outside the testing
 // framework and writes the results as JSON, so benchmark regressions are
 // tracked as repository artifacts. For every matching decoder and
-// d ∈ {5, 9, 13} it times the legacy allocating Decode path and the
-// pooled zero-allocation DecodeInto path on identical seeded syndromes
+// d ∈ {5, 9, 13} it times the pooled zero-allocation DecodeInto path —
+// each decoder's one implementation — on identical seeded syndromes
 // (BENCH_pr2.json), then times the SFQ mesh's scalar bit-plane kernel
 // on the same syndromes (BENCH_pr3.json), reporting ns/decode, mesh
 // cycles/decode, and allocation counts from runtime.MemStats deltas.
@@ -64,7 +64,7 @@ type BatchArtifact struct {
 type Row struct {
 	Decoder         string  `json:"decoder"`
 	Distance        int     `json:"d"`
-	Path            string  `json:"path"` // "legacy" or "pooled"
+	Path            string  `json:"path"` // "pooled"; history also has "legacy"
 	Iters           int     `json:"iters"`
 	NsPerDecode     float64 `json:"ns_per_decode"`
 	AllocsPerDecode float64 `json:"allocs_per_decode"`
@@ -149,16 +149,6 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, dec := range []decodepool.IntoDecoder{greedy.New(), mwpm.New(), unionfind.New()} {
-			legacy, err := measure(*iters, syndromes, func(syn []bool) error {
-				_, err := dec.Decode(g, syn)
-				return err
-			})
-			if err != nil {
-				log.Fatalf("%s d=%d legacy: %v", dec.Name(), d, err)
-			}
-			legacy.Decoder, legacy.Distance, legacy.Path = dec.Name(), d, "legacy"
-			rows = append(rows, legacy)
-
 			s := decodepool.NewScratch()
 			pooled, err := measure(*iters, syndromes, func(syn []bool) error {
 				_, err := dec.DecodeInto(g, syn, s)
@@ -170,10 +160,8 @@ func main() {
 			pooled.Decoder, pooled.Distance, pooled.Path = dec.Name(), d, "pooled"
 			rows = append(rows, pooled)
 
-			fmt.Printf("%-11s d=%-3d legacy %9.0f ns/decode %7.1f allocs | pooled %9.0f ns/decode %7.1f allocs | %.2fx\n",
-				dec.Name(), d, legacy.NsPerDecode, legacy.AllocsPerDecode,
-				pooled.NsPerDecode, pooled.AllocsPerDecode,
-				legacy.NsPerDecode/pooled.NsPerDecode)
+			fmt.Printf("%-11s d=%-3d pooled %9.0f ns/decode %7.1f allocs\n",
+				dec.Name(), d, pooled.NsPerDecode, pooled.AllocsPerDecode)
 		}
 	}
 

@@ -25,9 +25,11 @@
 //     allocations per decode.
 //
 // Decoders opt in by implementing IntoDecoder; Decode dispatches to the
-// pooled path when available and falls back to the allocating
-// decoder.Decoder path otherwise. Both paths are bit-identical — the
-// differential conformance suite in internal/decoder asserts it.
+// pooled path when available and falls back to the decoder's own Decode
+// otherwise. The greedy, MWPM and union-find decoders have no second
+// body: their Decode runs DecodeInto on a fresh Scratch, and the
+// differential suite in internal/decoder pins each core against an
+// allocating test oracle.
 //
 // Scratch ownership rules: the Correction returned by DecodeInto aliases
 // the Scratch's correction buffer and is valid only until the next
@@ -36,6 +38,7 @@
 package decodepool
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -56,7 +59,7 @@ type IntoDecoder interface {
 
 // Decode routes through the pooled zero-allocation path when dec
 // implements IntoDecoder and s is non-nil, and falls back to the
-// allocating Decode otherwise. The returned Correction follows the
+// decoder's Decode otherwise. The returned Correction follows the
 // ownership rules of whichever path ran.
 //
 // When the scratch is instrumented (Scratch.Instrument), Decode samples
@@ -156,9 +159,8 @@ type Geometry struct {
 	M int               // number of checks
 
 	// Union-find view: NV vertices (checks 0..M-1 then boundary
-	// pendants), Edges in lattice.Graph.DecodingEdges order, and
-	// Endpoints with the same boundary-vertex numbering the legacy
-	// decoder derives on every call.
+	// pendants), Edges in lattice.Graph.DecodingEdges order, and their
+	// Endpoints in that vertex numbering.
 	NV        int
 	Edges     []lattice.Edge
 	Endpoints [][2]int32
@@ -194,6 +196,24 @@ func (geo *Geometry) AppendBoundaryPathQubits(dst []int, i int) []int {
 		dst = append(dst, int(q))
 	}
 	return dst
+}
+
+// Emit lays down the chains of a matching — every pair's, then every
+// boundary match's (decoder.Matching.Correction's order) — in s's
+// correction buffer. The Correction aliases s; an empty matching yields
+// the empty Correction.
+func (geo *Geometry) Emit(m decoder.Matching, s *Scratch) decoder.Correction {
+	if len(m.Pairs)+len(m.Boundary) == 0 {
+		return decoder.Correction{}
+	}
+	q := s.TakeQubits()
+	for _, p := range m.Pairs {
+		q = geo.AppendPathQubits(q, p[0], p[1])
+	}
+	for _, i := range m.Boundary {
+		q = geo.AppendBoundaryPathQubits(q, i)
+	}
+	return s.PutQubits(q)
 }
 
 // geoKey identifies one geometry table. Graphs of equal distance and
@@ -235,40 +255,16 @@ func For(g *lattice.Graph) *Geometry {
 }
 
 // build derives every table from the graph's own geometry methods, so
-// the cached values are definitionally identical to what the legacy
-// per-call path computes.
+// the cached values are definitionally identical to what lattice.Graph
+// computes per call.
 func build(g *lattice.Graph) *Geometry {
-	m := g.NumChecks()
-	geo := &Geometry{
-		D: g.Lattice().Distance(),
-		E: g.ErrorType(),
-		M: m,
-
-		dist:     make([]int32, m*m),
-		bdist:    make([]int32, m),
-		pathOff:  make([]int32, m*m+1),
-		bpathOff: make([]int32, m+1),
-	}
-	for i := 0; i < m; i++ {
-		geo.bdist[i] = int32(g.BoundaryDist(i))
-		for j := 0; j < m; j++ {
-			geo.dist[i*m+j] = int32(g.Dist(i, j))
-			for _, q := range g.PathQubits(i, j) {
-				geo.pathData = append(geo.pathData, int32(q))
-			}
-			geo.pathOff[i*m+j+1] = int32(len(geo.pathData))
-		}
-		for _, q := range g.BoundaryPathQubits(i) {
-			geo.bpathData = append(geo.bpathData, int32(q))
-		}
-		geo.bpathOff[i+1] = int32(len(geo.bpathData))
-	}
-	// Union-find view, with the same boundary-vertex numbering the
-	// legacy decoder assigns (one fresh vertex per boundary endpoint, in
-	// edge order).
+	geo := NewGeometry(g.NumChecks(), g.Dist, g.BoundaryDist, g.PathQubits, g.BoundaryPathQubits)
+	geo.D, geo.E = g.Lattice().Distance(), g.ErrorType()
+	// Union-find view: one fresh pendant vertex per boundary endpoint,
+	// numbered in edge order after the checks.
 	geo.Edges = g.DecodingEdges()
 	geo.Endpoints = make([][2]int32, len(geo.Edges))
-	nv := m
+	nv := geo.M
 	for k, e := range geo.Edges {
 		a, b := e.C1, e.C2
 		if a == lattice.Boundary {
@@ -283,6 +279,46 @@ func build(g *lattice.Graph) *Geometry {
 	}
 	geo.NV = nv
 	return geo
+}
+
+// NewGeometry tabulates the matching view of an m-check graph from its
+// distance, boundary-distance and shortest-chain functions. The result
+// serves the matching decoders (greedy, MWPM) on any code layout; it has
+// no union-find view (Edges, Endpoints and NV stay zero), and D and E
+// are left for the caller to fill in.
+func NewGeometry(m int, dist func(i, j int) int, bdist func(i int) int,
+	path func(i, j int) []int, bpath func(i int) []int) *Geometry {
+	geo := &Geometry{
+		M:        m,
+		dist:     make([]int32, m*m),
+		bdist:    make([]int32, m),
+		pathOff:  make([]int32, m*m+1),
+		bpathOff: make([]int32, m+1),
+	}
+	for i := 0; i < m; i++ {
+		geo.bdist[i] = int32(bdist(i))
+		for j := 0; j < m; j++ {
+			geo.dist[i*m+j] = int32(dist(i, j))
+			for _, q := range path(i, j) {
+				geo.pathData = append(geo.pathData, int32(q))
+			}
+			geo.pathOff[i*m+j+1] = int32(len(geo.pathData))
+		}
+		for _, q := range bpath(i) {
+			geo.bpathData = append(geo.bpathData, int32(q))
+		}
+		geo.bpathOff[i+1] = int32(len(geo.bpathData))
+	}
+	return geo
+}
+
+// CheckSyndrome reports an error unless syn has exactly one entry per
+// check of the graph.
+func (geo *Geometry) CheckSyndrome(syn []bool) error {
+	if len(syn) != geo.M {
+		return fmt.Errorf("syndrome has %d checks, graph has %d", len(syn), geo.M)
+	}
+	return nil
 }
 
 // Scratch is one worker's reusable decode state. It is not safe for

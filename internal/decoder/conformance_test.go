@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/decodepool"
 	"repro/internal/decoder"
-	"repro/internal/decoder/greedy"
 	"repro/internal/decoder/mld"
 	"repro/internal/decoder/mwpm"
 	"repro/internal/decoder/unionfind"
@@ -45,41 +44,59 @@ func conformanceSyndromes(t *testing.T, l *lattice.Lattice, g *lattice.Graph) []
 	return syns
 }
 
-// Every decoder must clear every conformance syndrome, and the pooled
-// DecodeInto path must return exactly the qubit sequence the legacy
-// Decode path returns — on a fresh scratch and on one reused across all
-// cases.
+// Every decoder must clear every conformance syndrome, and each
+// production view — DecodeInto on a scratch reused across all cases and
+// on a fresh one, the Decode wrapper, and Match — must return exactly
+// what the decoder's allocating test oracle (oracle_test.go) returns:
+// the same qubit sequence, the same pair and boundary lists. MLD is
+// checked Decode against DecodeInto. Union-find's DecodeErasure must
+// reproduce the oracle's erasure peel on seeded erasure masks.
 func TestConformancePooledMatchesLegacy(t *testing.T) {
 	for _, d := range []int{3, 5} {
 		l := lattice.MustNew(d)
 		for _, e := range []lattice.ErrorType{lattice.ZErrors, lattice.XErrors} {
 			g := l.MatchingGraph(e)
-			decoders := []decodepool.IntoDecoder{greedy.New(), mwpm.New(), unionfind.New()}
+			cases := oracleCases()
 			if l.NumData() <= mld.MaxDataQubits {
 				ml, err := mld.New(g, 0.01)
 				if err != nil {
 					t.Fatal(err)
 				}
-				decoders = append(decoders, ml)
+				cases = append(cases, oracleCase{dec: ml, oracle: ml.Decode})
 			}
 			syns := conformanceSyndromes(t, l, g)
 			reused := decodepool.NewScratch()
-			for _, dec := range decoders {
+			for _, c := range cases {
+				dec := c.dec
 				for si, syn := range syns {
-					legacy, err := dec.Decode(g, syn)
+					want, err := c.oracle(g, syn)
 					if err != nil {
-						t.Fatalf("%s d=%d %v syn %d: legacy: %v", dec.Name(), d, e, si, err)
+						t.Fatalf("%s d=%d %v syn %d: oracle: %v", dec.Name(), d, e, si, err)
 					}
-					if err := decoder.Validate(g, syn, legacy); err != nil {
-						t.Fatalf("%s d=%d %v syn %d: legacy correction invalid: %v", dec.Name(), d, e, si, err)
+					if err := decoder.Validate(g, syn, want); err != nil {
+						t.Fatalf("%s d=%d %v syn %d: oracle correction invalid: %v", dec.Name(), d, e, si, err)
 					}
 					pooled, err := dec.DecodeInto(g, syn, reused)
 					if err != nil {
 						t.Fatalf("%s d=%d %v syn %d: pooled: %v", dec.Name(), d, e, si, err)
 					}
-					if !sameQubits(legacy.Qubits, pooled.Qubits) {
-						t.Fatalf("%s d=%d %v syn %d: pooled %v != legacy %v",
-							dec.Name(), d, e, si, pooled.Qubits, legacy.Qubits)
+					if !sameQubits(want.Qubits, pooled.Qubits) {
+						t.Fatalf("%s d=%d %v syn %d: pooled %v != oracle %v",
+							dec.Name(), d, e, si, pooled.Qubits, want.Qubits)
+					}
+					plain, err := dec.Decode(g, syn)
+					if err != nil {
+						t.Fatalf("%s d=%d %v syn %d: Decode: %v", dec.Name(), d, e, si, err)
+					}
+					if !sameQubits(want.Qubits, plain.Qubits) {
+						t.Fatalf("%s d=%d %v syn %d: Decode %v != oracle %v",
+							dec.Name(), d, e, si, plain.Qubits, want.Qubits)
+					}
+					if c.match != nil {
+						if got, wantM := mustMatch(t, c.match, g, syn), c.oracleMatch(g, syn); !sameMatching(got, wantM) {
+							t.Fatalf("%s d=%d %v syn %d: Match %+v != oracle %+v",
+								dec.Name(), d, e, si, got, wantM)
+						}
 					}
 					if si%17 == 0 {
 						// Fresh scratch must agree too: reuse cannot be
@@ -88,20 +105,62 @@ func TestConformancePooledMatchesLegacy(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s d=%d %v syn %d: fresh scratch: %v", dec.Name(), d, e, si, err)
 						}
-						if !sameQubits(legacy.Qubits, fresh.Qubits) {
-							t.Fatalf("%s d=%d %v syn %d: fresh-scratch pooled %v != legacy %v",
-								dec.Name(), d, e, si, fresh.Qubits, legacy.Qubits)
+						if !sameQubits(want.Qubits, fresh.Qubits) {
+							t.Fatalf("%s d=%d %v syn %d: fresh-scratch pooled %v != oracle %v",
+								dec.Name(), d, e, si, fresh.Qubits, want.Qubits)
 						}
 					}
 				}
+			}
+			checkErasureConformance(t, l, g)
+		}
+	}
+}
+
+// checkErasureConformance diffs unionfind.DecodeErasure against the
+// oracle's erasure peel on seeded erasure masks over a range of erasure
+// rates, comparing qubit sequences and errors.
+func checkErasureConformance(t *testing.T, l *lattice.Lattice, g *lattice.Graph) {
+	t.Helper()
+	op := pauli.Z
+	if g.ErrorType() == lattice.XErrors {
+		op = pauli.X
+	}
+	var targets []int
+	for _, s := range l.DataSites() {
+		targets = append(targets, l.QubitIndex(s))
+	}
+	rng := noise.NewRand(int64(53 + l.Distance()))
+	uf, oracle := unionfind.New(), new(oracleUnionFind)
+	for _, pe := range []float64{0.05, 0.2, 0.4, 0.6} {
+		ch, err := noise.NewErasure(pe, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 30; trial++ {
+			f := pauli.NewFrame(l.NumQubits())
+			erased := make([]bool, l.NumQubits())
+			for i, hit := range ch.SampleErasure(rng, f, targets) {
+				erased[targets[i]] = hit
+			}
+			syn := g.Syndrome(f)
+			want, wantErr := oracle.DecodeErasure(g, erased, syn)
+			got, err := uf.DecodeErasure(g, erased, syn)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("d=%d %v pe=%v trial %d: DecodeErasure err %v, oracle err %v",
+					l.Distance(), g.ErrorType(), pe, trial, err, wantErr)
+			}
+			if !sameQubits(want.Qubits, got.Qubits) {
+				t.Fatalf("d=%d %v pe=%v trial %d: DecodeErasure %v != oracle %v",
+					l.Distance(), g.ErrorType(), pe, trial, got.Qubits, want.Qubits)
 			}
 		}
 	}
 }
 
 // The generic dispatcher must route through DecodeInto when given a
-// scratch and fall back to the legacy path without one, with identical
-// results either way.
+// scratch and fall back to the decoder's Decode without one, with
+// identical results either way.
 func TestConformanceDispatch(t *testing.T) {
 	l := lattice.MustNew(5)
 	g := l.MatchingGraph(lattice.ZErrors)
@@ -140,7 +199,7 @@ func TestConformanceMWPMWeightOptimal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for si, syn := range conformanceSyndromes(t, l3, g) {
-			m := mw.Match(g, syn)
+			m := mustMatch(t, mw.Match, g, syn)
 			c, err := ml.Decode(g, syn)
 			if err != nil {
 				t.Fatalf("syn %d: mld: %v", si, err)
@@ -176,14 +235,14 @@ func TestConformanceMWPMWeightOptimal(t *testing.T) {
 		if len(hot) > 8 {
 			continue
 		}
-		if got, want := mw.Match(g, syn).Weight(g), bestWeight(hot); got != want {
+		if got, want := mustMatch(t, mw.Match, g, syn).Weight(g), bestWeight(hot); got != want {
 			t.Fatalf("d=5 syn %d: mwpm weight %d, brute-force optimum %d (hot=%v)", si, got, want, hot)
 		}
 	}
 }
 
-// sameQubits compares correction contents; the pooled path may return a
-// non-nil empty slice where the legacy path returns nil.
+// sameQubits compares correction contents; one side may return a
+// non-nil empty slice where the other returns nil.
 func sameQubits(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -194,4 +253,35 @@ func sameQubits(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// A syndrome with one check too few or too many is an error from every
+// entry point of the software decoders — never a silent decode of the
+// prefix, a panic, or a wrong correction.
+func TestDecodersRejectWrongLengthSyndromes(t *testing.T) {
+	type entry struct {
+		name string
+		run  func() error
+	}
+	g := lattice.MustNew(5).MatchingGraph(lattice.ZErrors)
+	m := g.NumChecks()
+	for _, c := range oracleCases() {
+		dec := c.dec
+		for _, n := range []int{m - 1, m + 1} {
+			syn := make([]bool, n)
+			syn[0], syn[n-1] = true, true
+			entries := []entry{
+				{"Decode", func() error { _, err := dec.Decode(g, syn); return err }},
+				{"DecodeInto", func() error { _, err := dec.DecodeInto(g, syn, decodepool.NewScratch()); return err }},
+			}
+			if c.match != nil {
+				entries = append(entries, entry{"Match", func() error { _, err := c.match(g, syn); return err }})
+			}
+			for _, e := range entries {
+				if err := e.run(); err == nil {
+					t.Errorf("%s %s: %d-check syndrome on a %d-check graph accepted", dec.Name(), e.name, n, m)
+				}
+			}
+		}
+	}
 }

@@ -5,17 +5,15 @@ import (
 
 	"repro/internal/decodepool"
 	"repro/internal/decoder"
-	"repro/internal/decoder/greedy"
-	"repro/internal/decoder/mwpm"
-	"repro/internal/decoder/unionfind"
 	"repro/internal/lattice"
 )
 
 // FuzzDecode feeds arbitrary syndrome bit patterns — not just ones
 // reachable from i.i.d. errors — to every matching decoder. The planar
 // code's boundaries make every syndrome decodable, so each decoder must
-// return without error, its correction must clear the syndrome, and the
-// pooled DecodeInto path must agree bit-for-bit with the legacy path.
+// return without error, its correction must clear the syndrome, and
+// production DecodeInto, Decode and Match must agree bit-for-bit with
+// the decoder's test oracle.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0xff, 0x0f})
@@ -27,7 +25,7 @@ func FuzzDecode(f *testing.F) {
 		l := lattice.MustNew(d)
 		graphs[d] = [2]*lattice.Graph{l.MatchingGraph(lattice.ZErrors), l.MatchingGraph(lattice.XErrors)}
 	}
-	decoders := []decodepool.IntoDecoder{greedy.New(), mwpm.New(), unionfind.New()}
+	cases := oracleCases()
 	scratch := decodepool.NewScratch()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -46,20 +44,33 @@ func FuzzDecode(f *testing.F) {
 				syn[i] = true
 			}
 		}
-		for _, dec := range decoders {
-			legacy, err := dec.Decode(g, syn)
+		for _, c := range cases {
+			dec := c.dec
+			want, err := c.oracle(g, syn)
 			if err != nil {
-				t.Fatalf("%s d=%d: legacy: %v", dec.Name(), d, err)
+				t.Fatalf("%s d=%d: oracle: %v", dec.Name(), d, err)
 			}
-			if err := decoder.Validate(g, syn, legacy); err != nil {
+			if err := decoder.Validate(g, syn, want); err != nil {
 				t.Fatalf("%s d=%d syn=%v: %v", dec.Name(), d, syn, err)
 			}
 			pooled, err := dec.DecodeInto(g, syn, scratch)
 			if err != nil {
 				t.Fatalf("%s d=%d: pooled: %v", dec.Name(), d, err)
 			}
-			if !sameQubits(legacy.Qubits, pooled.Qubits) {
-				t.Fatalf("%s d=%d syn=%v: pooled %v != legacy %v", dec.Name(), d, syn, pooled.Qubits, legacy.Qubits)
+			if !sameQubits(want.Qubits, pooled.Qubits) {
+				t.Fatalf("%s d=%d syn=%v: pooled %v != oracle %v", dec.Name(), d, syn, pooled.Qubits, want.Qubits)
+			}
+			plain, err := dec.Decode(g, syn)
+			if err != nil {
+				t.Fatalf("%s d=%d: Decode: %v", dec.Name(), d, err)
+			}
+			if !sameQubits(want.Qubits, plain.Qubits) {
+				t.Fatalf("%s d=%d syn=%v: Decode %v != oracle %v", dec.Name(), d, syn, plain.Qubits, want.Qubits)
+			}
+			if c.match != nil {
+				if got, wantM := mustMatch(t, c.match, g, syn), c.oracleMatch(g, syn); !sameMatching(got, wantM) {
+					t.Fatalf("%s d=%d syn=%v: Match %+v != oracle %+v", dec.Name(), d, syn, got, wantM)
+				}
 			}
 		}
 	})

@@ -10,10 +10,13 @@
 // formulation in which external nodes are connected to one another with
 // weight zero. By the classical result of Drake & Hougardy the result is
 // a 2-approximation of the optimal matching.
+//
+// The matcher runs inside a caller-owned decodepool.Scratch over cached
+// geometry tables; Decode and Match are views over that one core.
 package greedy
 
 import (
-	"sort"
+	"fmt"
 
 	"repro/internal/decodepool"
 	"repro/internal/decoder"
@@ -29,74 +32,37 @@ func New() *Decoder { return &Decoder{} }
 // Name implements decoder.Decoder.
 func (*Decoder) Name() string { return "greedy" }
 
-// edge is a candidate matching edge. j == lattice.Boundary marks a
-// boundary edge for hot check i.
-type edge struct {
-	w    int
-	i, j int
-}
-
 // Match computes the greedy matching for the syndrome without converting
 // it to a correction. Exposed so harnesses can inspect pairings.
-func (*Decoder) Match(g *lattice.Graph, syn []bool) decoder.Matching {
-	hot := lattice.HotChecks(syn)
-	edges := make([]edge, 0, len(hot)*(len(hot)+1)/2)
-	for a := 0; a < len(hot); a++ {
-		for b := a + 1; b < len(hot); b++ {
-			edges = append(edges, edge{g.Dist(hot[a], hot[b]), hot[a], hot[b]})
-		}
-		edges = append(edges, edge{g.BoundaryDist(hot[a]), hot[a], lattice.Boundary})
-	}
-	// Ascending distance. On ties, pair edges come before boundary
-	// edges — pairing two hot checks at distance w clears both for the
-	// price one boundary match would pay to clear one — and remaining
-	// ties are broken by endpoint indices so decoding is deterministic.
-	rank := func(e edge) int {
-		if e.j == lattice.Boundary {
-			return 1
-		}
-		return 0
-	}
-	sort.Slice(edges, func(x, y int) bool {
-		if edges[x].w != edges[y].w {
-			return edges[x].w < edges[y].w
-		}
-		if rank(edges[x]) != rank(edges[y]) {
-			return rank(edges[x]) < rank(edges[y])
-		}
-		if edges[x].i != edges[y].i {
-			return edges[x].i < edges[y].i
-		}
-		return edges[x].j < edges[y].j
-	})
-
-	matched := make(map[int]bool, len(hot))
-	var m decoder.Matching
-	for _, e := range edges {
-		if matched[e.i] {
-			continue
-		}
-		if e.j == lattice.Boundary {
-			matched[e.i] = true
-			m.Boundary = append(m.Boundary, e.i)
-			continue
-		}
-		if matched[e.j] {
-			continue
-		}
-		matched[e.i], matched[e.j] = true, true
-		m.Pairs = append(m.Pairs, [2]int{e.i, e.j})
-	}
-	return m
+func (*Decoder) Match(g *lattice.Graph, syn []bool) (decoder.Matching, error) {
+	return match(decodepool.For(g), syn, decodepool.NewScratch())
 }
 
-// Decode implements decoder.Decoder.
+// Decode implements decoder.Decoder: DecodeInto on a fresh scratch, so
+// the caller owns the returned correction.
 func (d *Decoder) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, error) {
-	return d.Match(g, syn).Correction(g), nil
+	return d.DecodeInto(g, syn, decodepool.NewScratch())
 }
 
-// gedge is the scratch-resident candidate edge; j == -1 marks a
-// boundary edge.
+// DecodeInto implements decodepool.IntoDecoder. Steady state allocates
+// nothing; the returned Correction aliases s.
+func (*Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
+	return DecodeGeometry(decodepool.For(g), syn, s)
+}
+
+// DecodeGeometry runs the greedy matcher over any code layout's
+// geometry table (internal/rotated builds its own) and lays down the
+// matched chains. The returned Correction aliases s.
+func DecodeGeometry(geo *decodepool.Geometry, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
+	m, err := match(geo, syn, s)
+	if err != nil {
+		return decoder.Correction{}, err
+	}
+	return geo.Emit(m, s), nil
+}
+
+// gedge is a candidate matching edge between hot checks i and j;
+// j == -1 marks a boundary edge for i.
 type gedge struct{ w, i, j int32 }
 
 // intoState is the greedy decoder's private scratch: the candidate edge
@@ -107,22 +73,26 @@ type intoState struct {
 	idx     []int32
 	counts  []int32
 	matched []bool
-	pairs   [][2]int32
-	bnd     []int32
+	m       decoder.Matching
 }
 
-// DecodeInto implements decodepool.IntoDecoder. It reproduces Decode's
-// matching exactly but replaces the comparison sort with a stable
-// two-bucket-per-weight counting sort: the sort key is 2·w + rank
-// (rank 1 for boundary edges), and within a bucket the generation order
-// — ascending (i, j) for pair edges, ascending i for boundary edges —
-// already equals the legacy comparator's tie-break order. Steady state
-// allocates nothing; the returned Correction aliases s.
-func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
-	geo := decodepool.For(g)
+// match is the one greedy matcher. Edges are accepted in ascending
+// distance; on ties, pair edges come before boundary edges — pairing
+// two hot checks at distance w clears both for the price one boundary
+// match would pay to clear one — and remaining ties go to ascending
+// endpoint indices, so decoding is deterministic. A stable
+// two-bucket-per-weight counting sort realizes that order: the key is
+// 2·w + (1 for boundary edges), and within a bucket the generation
+// order — ascending (i, j) for pairs, ascending i for boundary edges —
+// already is the tie-break order. The returned Matching lists pairs and
+// boundary matches in acceptance order and aliases s.
+func match(geo *decodepool.Geometry, syn []bool, s *decodepool.Scratch) (decoder.Matching, error) {
+	if err := geo.CheckSyndrome(syn); err != nil {
+		return decoder.Matching{}, fmt.Errorf("greedy: %w", err)
+	}
 	hot := s.HotChecks(syn)
 	if len(hot) == 0 {
-		return decoder.Correction{}, nil
+		return decoder.Matching{}, nil
 	}
 	st := s.State("greedy", func() any { return new(intoState) }).(*intoState)
 	edges := st.edges[:0]
@@ -130,15 +100,11 @@ func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 	for a := 0; a < len(hot); a++ {
 		for b := a + 1; b < len(hot); b++ {
 			w := int32(geo.Dist(hot[a], hot[b]))
-			if w > maxW {
-				maxW = w
-			}
+			maxW = max(maxW, w)
 			edges = append(edges, gedge{w, int32(hot[a]), int32(hot[b])})
 		}
 		w := int32(geo.BoundaryDist(hot[a]))
-		if w > maxW {
-			maxW = w
-		}
+		maxW = max(maxW, w)
 		edges = append(edges, gedge{w, int32(hot[a]), -1})
 	}
 	st.edges = edges
@@ -173,13 +139,12 @@ func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 		counts[ky]++
 	}
 
-	m := g.NumChecks()
-	if cap(st.matched) < m {
-		st.matched = make([]bool, m)
+	if cap(st.matched) < geo.M {
+		st.matched = make([]bool, geo.M)
 	}
-	matched := st.matched[:m]
+	matched := st.matched[:geo.M]
 	clear(matched)
-	st.pairs, st.bnd = st.pairs[:0], st.bnd[:0]
+	m := decoder.Matching{Pairs: st.m.Pairs[:0], Boundary: st.m.Boundary[:0]}
 	for _, k := range idx {
 		e := edges[k]
 		if matched[e.i] {
@@ -187,24 +152,17 @@ func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 		}
 		if e.j < 0 {
 			matched[e.i] = true
-			st.bnd = append(st.bnd, e.i)
+			m.Boundary = append(m.Boundary, int(e.i))
 			continue
 		}
 		if matched[e.j] {
 			continue
 		}
 		matched[e.i], matched[e.j] = true, true
-		st.pairs = append(st.pairs, [2]int32{e.i, e.j})
+		m.Pairs = append(m.Pairs, [2]int{int(e.i), int(e.j)})
 	}
-
-	q := s.TakeQubits()
-	for _, p := range st.pairs {
-		q = geo.AppendPathQubits(q, int(p[0]), int(p[1]))
-	}
-	for _, i := range st.bnd {
-		q = geo.AppendBoundaryPathQubits(q, int(i))
-	}
-	return s.PutQubits(q), nil
+	st.m = m
+	return m, nil
 }
 
 var (

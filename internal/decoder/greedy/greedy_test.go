@@ -19,10 +19,20 @@ func syn(g *lattice.Graph, sites ...lattice.Site) []bool {
 	return s
 }
 
+// mustMatch returns the decoder's matching of s, failing the test on error.
+func mustMatch(t *testing.T, g *lattice.Graph, s []bool) decoder.Matching {
+	t.Helper()
+	m, err := New().Match(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestEmptySyndrome(t *testing.T) {
 	g := lattice.MustNew(3).MatchingGraph(lattice.ZErrors)
 	d := New()
-	m := d.Match(g, make([]bool, g.NumChecks()))
+	m := mustMatch(t, g, make([]bool, g.NumChecks()))
 	if len(m.Pairs) != 0 || len(m.Boundary) != 0 {
 		t.Errorf("empty syndrome matched: %+v", m)
 	}
@@ -40,7 +50,7 @@ func TestTieBreakPrefersPairing(t *testing.T) {
 	// Checks (0,1) and (0,3): distance 1 from each other AND from their
 	// respective boundaries.
 	s := syn(g, lattice.Site{Row: 0, Col: 1}, lattice.Site{Row: 0, Col: 3})
-	m := New().Match(g, s)
+	m := mustMatch(t, g, s)
 	if len(m.Pairs) != 1 || len(m.Boundary) != 0 {
 		t.Fatalf("matching = %+v, want one pair", m)
 	}
@@ -54,7 +64,7 @@ func TestIsolatedCheckGoesToBoundary(t *testing.T) {
 	l := lattice.MustNew(5)
 	g := l.MatchingGraph(lattice.ZErrors)
 	s := syn(g, lattice.Site{Row: 4, Col: 1})
-	m := New().Match(g, s)
+	m := mustMatch(t, g, s)
 	if len(m.Boundary) != 1 || len(m.Pairs) != 0 {
 		t.Fatalf("matching = %+v", m)
 	}
@@ -69,7 +79,7 @@ func TestBoundaryBeatsLongPair(t *testing.T) {
 	l := lattice.MustNew(5)
 	g := l.MatchingGraph(lattice.ZErrors)
 	s := syn(g, lattice.Site{Row: 0, Col: 1}, lattice.Site{Row: 0, Col: 7})
-	m := New().Match(g, s)
+	m := mustMatch(t, g, s)
 	if len(m.Boundary) != 2 || len(m.Pairs) != 0 {
 		t.Fatalf("matching = %+v, want two boundary matches", m)
 	}
@@ -83,9 +93,8 @@ func TestMatchingIsDeterministic(t *testing.T) {
 		lattice.Site{Row: 6, Col: 5}, lattice.Site{Row: 10, Col: 9},
 		lattice.Site{Row: 8, Col: 1},
 	)
-	d := New()
-	a := d.Match(g, s)
-	b := d.Match(g, s)
+	a := mustMatch(t, g, s)
+	b := mustMatch(t, g, s)
 	if len(a.Pairs) != len(b.Pairs) || len(a.Boundary) != len(b.Boundary) {
 		t.Fatal("nondeterministic matching")
 	}

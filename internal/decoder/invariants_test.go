@@ -69,8 +69,8 @@ func TestGreedyNeverBeatsMWPM(t *testing.T) {
 		g := l.MatchingGraph(lattice.ZErrors)
 		for trial := 0; trial < 200; trial++ {
 			syn := randomSyndrome(rng, l, g, 0.08)
-			mg := gr.Match(g, syn)
-			mm := mw.Match(g, syn)
+			mg := mustMatch(t, gr.Match, g, syn)
+			mm := mustMatch(t, mw.Match, g, syn)
 			if err := mg.Covers(syn); err != nil {
 				t.Fatalf("greedy matching does not cover: %v", err)
 			}
@@ -116,7 +116,7 @@ func TestMWPMOptimalSmall(t *testing.T) {
 		if len(hot) > 8 {
 			continue
 		}
-		m := mw.Match(g, syn)
+		m := mustMatch(t, mw.Match, g, syn)
 		if got, want := m.Weight(g), bestWeight(hot); got != want {
 			t.Fatalf("trial %d: mwpm weight %d, optimal %d (hot=%v)", trial, got, want, hot)
 		}

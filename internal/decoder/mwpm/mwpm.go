@@ -13,9 +13,14 @@
 // unchanged while the blossom algorithm from internal/match runs on
 // half the nodes (8x less O(n³) work). Matched pairs whose min came
 // from the boundary sum are decomposed back into two boundary chains.
+//
+// The matcher runs inside a caller-owned decodepool.Scratch over cached
+// geometry tables; Decode and Match are views over that one core.
 package mwpm
 
 import (
+	"fmt"
+
 	"repro/internal/decodepool"
 	"repro/internal/decoder"
 	"repro/internal/lattice"
@@ -31,78 +36,59 @@ func New() *Decoder { return &Decoder{} }
 // Name implements decoder.Decoder.
 func (*Decoder) Name() string { return "mwpm" }
 
-// Match computes the optimal matching for the syndrome.
-func (*Decoder) Match(g *lattice.Graph, syn []bool) decoder.Matching {
-	hot := lattice.HotChecks(syn)
-	n := len(hot)
-	if n == 0 {
-		return decoder.Matching{}
-	}
-	// Nodes 0..n-1 are hot checks; node n (odd counts only) is the
-	// boundary absorber.
-	m := n + n%2
-	weight := func(u, v int) int64 {
-		if u > v {
-			u, v = v, u
-		}
-		if v >= n {
-			return int64(g.BoundaryDist(hot[u]))
-		}
-		du := int64(g.Dist(hot[u], hot[v]))
-		if bs := int64(g.BoundaryDist(hot[u]) + g.BoundaryDist(hot[v])); bs < du {
-			return bs
-		}
-		return du
-	}
-	mate, _ := match.MinWeightPerfectMatching(m, weight)
-	var mm decoder.Matching
-	for u := 0; u < n; u++ {
-		v := mate[u]
-		if v >= n {
-			mm.Boundary = append(mm.Boundary, hot[u])
-		} else if v > u {
-			// Ties go to the direct pair, so a decomposition never
-			// lengthens the correction.
-			if int64(g.Dist(hot[u], hot[v])) <= int64(g.BoundaryDist(hot[u])+g.BoundaryDist(hot[v])) {
-				mm.Pairs = append(mm.Pairs, [2]int{hot[u], hot[v]})
-			} else {
-				mm.Boundary = append(mm.Boundary, hot[u], hot[v])
-			}
-		}
-	}
-	return mm
+// Match computes the optimal matching for the syndrome without
+// converting it to a correction.
+func (*Decoder) Match(g *lattice.Graph, syn []bool) (decoder.Matching, error) {
+	return matchGeometry(decodepool.For(g), syn, decodepool.NewScratch())
 }
 
-// Decode implements decoder.Decoder.
+// Decode implements decoder.Decoder: DecodeInto on a fresh scratch, so
+// the caller owns the returned correction.
 func (d *Decoder) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, error) {
-	return d.Match(g, syn).Correction(g), nil
+	return d.DecodeInto(g, syn, decodepool.NewScratch())
+}
+
+// DecodeInto implements decodepool.IntoDecoder. Steady state allocates
+// nothing; the returned Correction aliases s and is valid until its next
+// decode.
+func (*Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
+	return DecodeGeometry(decodepool.For(g), syn, s)
+}
+
+// DecodeGeometry runs the exact matcher over any code layout's geometry
+// table (internal/rotated builds its own) and lays down the matched
+// chains. The returned Correction aliases s.
+func DecodeGeometry(geo *decodepool.Geometry, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
+	m, err := matchGeometry(geo, syn, s)
+	if err != nil {
+		return decoder.Correction{}, err
+	}
+	return geo.Emit(m, s), nil
 }
 
 // intoState is the MWPM decoder's private scratch: a reusable blossom
 // matcher, the flat weight matrix it consumes, and the accepted
-// matching, kept so the correction can be emitted in the same order the
-// legacy path uses (all pair chains, then all boundary chains).
+// matching.
 type intoState struct {
 	matcher match.Matcher
 	w       []int64
-	pairs   [][2]int32
-	bnd     []int32
+	m       decoder.Matching
 }
 
-// DecodeInto implements decodepool.IntoDecoder: the same exact matching
-// as Decode, computed from the cached geometry tables inside the
-// caller's scratch. Steady state allocates nothing; the returned
-// Correction aliases s and is valid until its next decode.
-func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
-	geo := decodepool.For(g)
+// matchGeometry is the one exact matcher: it builds the folded instance
+// from the geometry tables, solves it with the blossom matcher, and
+// returns the pairs and boundary matches (aliasing s).
+func matchGeometry(geo *decodepool.Geometry, syn []bool, s *decodepool.Scratch) (decoder.Matching, error) {
+	if err := geo.CheckSyndrome(syn); err != nil {
+		return decoder.Matching{}, fmt.Errorf("mwpm: %w", err)
+	}
 	hot := s.HotChecks(syn)
 	n := len(hot)
 	if n == 0 {
-		return decoder.Correction{}, nil
+		return decoder.Matching{}, nil
 	}
 	st := s.State("mwpm", func() any { return new(intoState) }).(*intoState)
-	// Folded instance, mirroring the Match construction exactly: nodes
-	// 0..n-1 are hot checks, node n (odd counts only) absorbs the
+	// Nodes 0..n-1 are hot checks; node n (odd counts only) absorbs the
 	// leftover check at its boundary distance.
 	m := n + n%2
 	if cap(st.w) < m*m {
@@ -127,28 +113,23 @@ func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 		w[n*m+n] = 0
 	}
 	mate, _ := st.matcher.MinWeightPerfect(m, w)
-	st.pairs, st.bnd = st.pairs[:0], st.bnd[:0]
+	mm := decoder.Matching{Pairs: st.m.Pairs[:0], Boundary: st.m.Boundary[:0]}
 	for u := 0; u < n; u++ {
 		v := mate[u]
 		if v >= n {
-			st.bnd = append(st.bnd, int32(hot[u]))
+			mm.Boundary = append(mm.Boundary, hot[u])
 		} else if v > u {
-			// Same tie-break as Match: equal weights keep the direct pair.
-			if int64(geo.Dist(hot[u], hot[v])) <= int64(geo.BoundaryDist(hot[u])+geo.BoundaryDist(hot[v])) {
-				st.pairs = append(st.pairs, [2]int32{int32(hot[u]), int32(hot[v])})
+			// Ties go to the direct pair, so a decomposition never
+			// lengthens the correction.
+			if geo.Dist(hot[u], hot[v]) <= geo.BoundaryDist(hot[u])+geo.BoundaryDist(hot[v]) {
+				mm.Pairs = append(mm.Pairs, [2]int{hot[u], hot[v]})
 			} else {
-				st.bnd = append(st.bnd, int32(hot[u]), int32(hot[v]))
+				mm.Boundary = append(mm.Boundary, hot[u], hot[v])
 			}
 		}
 	}
-	q := s.TakeQubits()
-	for _, p := range st.pairs {
-		q = geo.AppendPathQubits(q, int(p[0]), int(p[1]))
-	}
-	for _, i := range st.bnd {
-		q = geo.AppendBoundaryPathQubits(q, int(i))
-	}
-	return s.PutQubits(q), nil
+	st.m = mm
+	return mm, nil
 }
 
 var (

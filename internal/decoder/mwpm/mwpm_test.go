@@ -19,9 +19,19 @@ func syn(g *lattice.Graph, sites ...lattice.Site) []bool {
 	return s
 }
 
+// mustMatch returns the decoder's matching of s, failing the test on error.
+func mustMatch(t *testing.T, g *lattice.Graph, s []bool) decoder.Matching {
+	t.Helper()
+	m, err := New().Match(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestEmptySyndrome(t *testing.T) {
 	g := lattice.MustNew(3).MatchingGraph(lattice.ZErrors)
-	m := New().Match(g, make([]bool, g.NumChecks()))
+	m := mustMatch(t, g, make([]bool, g.NumChecks()))
 	if len(m.Pairs) != 0 || len(m.Boundary) != 0 {
 		t.Errorf("matched empty syndrome: %+v", m)
 	}
@@ -31,7 +41,7 @@ func TestSingleCheckBoundary(t *testing.T) {
 	l := lattice.MustNew(5)
 	g := l.MatchingGraph(lattice.ZErrors)
 	s := syn(g, lattice.Site{Row: 2, Col: 3})
-	m := New().Match(g, s)
+	m := mustMatch(t, g, s)
 	if len(m.Boundary) != 1 || len(m.Pairs) != 0 {
 		t.Fatalf("matching = %+v", m)
 	}
@@ -53,7 +63,7 @@ func TestOptimalOnAmbiguousRow(t *testing.T) {
 		lattice.Site{Row: 0, Col: 5},
 		lattice.Site{Row: 0, Col: 9},
 	)
-	m := New().Match(g, s)
+	m := mustMatch(t, g, s)
 	// Optimum: pair (5,9) at cost 2, send column-1 to the boundary at
 	// cost 1 — total 3.
 	if got := m.Weight(g); got != 3 {
@@ -75,7 +85,7 @@ func TestPrefersBoundariesWhenCheaper(t *testing.T) {
 		lattice.Site{Row: 16, Col: 1},
 		lattice.Site{Row: 4, Col: 15},
 	)
-	m := New().Match(g, s)
+	m := mustMatch(t, g, s)
 	if err := m.Covers(s); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +100,7 @@ func TestXErrorGraph(t *testing.T) {
 	l := lattice.MustNew(5)
 	g := l.MatchingGraph(lattice.XErrors)
 	s := syn(g, lattice.Site{Row: 3, Col: 4}, lattice.Site{Row: 5, Col: 4})
-	m := New().Match(g, s)
+	m := mustMatch(t, g, s)
 	if len(m.Pairs) != 1 {
 		t.Fatalf("matching = %+v", m)
 	}

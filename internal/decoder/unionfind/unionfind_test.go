@@ -21,8 +21,12 @@ func syn(g *lattice.Graph, sites ...lattice.Site) []bool {
 	return s
 }
 
+// The decoder's union-find (intoState's find and union) must merge
+// defect parity and boundary contact, stop boundary clusters, and treat
+// self-union as a no-op.
 func TestDSUInvariants(t *testing.T) {
-	d := newDSU(6)
+	d := new(intoState)
+	d.reset(6, 0)
 	d.odd[0], d.odd[1], d.odd[3] = true, true, true
 	d.boundary[5] = true
 	d.union(0, 1)
@@ -46,6 +50,13 @@ func TestDSUInvariants(t *testing.T) {
 	d.union(0, 1)
 	if d.size[d.find(0)] != size {
 		t.Error("self-union changed size")
+	}
+	// reset must restore singletons with cleared flags.
+	d.reset(6, 0)
+	for v := int32(0); v < 6; v++ {
+		if d.find(v) != v || d.size[v] != 1 || d.odd[v] || d.boundary[v] {
+			t.Fatalf("vertex %d not reset", v)
+		}
 	}
 }
 
@@ -196,6 +207,9 @@ func TestDecodeErasureValidation(t *testing.T) {
 	u := New()
 	if _, err := u.DecodeErasure(g, make([]bool, 3), make([]bool, g.NumChecks())); err == nil {
 		t.Error("bad mask size accepted")
+	}
+	if _, err := u.DecodeErasure(g, make([]bool, l.NumQubits()), make([]bool, g.NumChecks()+1)); err == nil {
+		t.Error("bad syndrome size accepted")
 	}
 }
 

@@ -7,9 +7,10 @@
 // on the faces of the grid in a checkerboard pattern and weight-2
 // stabilizers on alternating boundary edges: Z-type faces detect X
 // errors and X-type faces detect Z errors. The package provides the
-// geometry, syndrome extraction, greedy and exact matching decoders
-// (sharing internal/match), and a lifetime simulator, so the efficiency
-// of the two layouts can be compared head to head (cmd/rotated).
+// geometry, syndrome extraction, decoding with the greedy and exact
+// MWPM matchers of internal/decoder (run over a geometry table each Code
+// builds once), and a lifetime simulator, so the efficiency of the two
+// layouts can be compared head to head (cmd/rotated).
 package rotated
 
 import (
@@ -17,9 +18,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
-	"repro/internal/match"
+	"repro/internal/decodepool"
+	"repro/internal/decoder/greedy"
+	"repro/internal/decoder/mwpm"
 	"repro/internal/mc"
 	"repro/internal/noise"
 	"repro/internal/pauli"
@@ -39,6 +41,9 @@ type Code struct {
 	// cut is the logical-X support; odd overlap with a Z-residual marks
 	// a logical phase flip.
 	cut []int
+	// geo tabulates dist, boundaryDist and the chain paths for the
+	// matchers.
+	geo *decodepool.Geometry
 }
 
 // New builds the distance-d rotated code. Distance must be odd, >= 3.
@@ -81,6 +86,8 @@ func New(d int) (*Code, error) {
 	for r := 0; r < d; r++ {
 		c.cut = append(c.cut, q(r, 0))
 	}
+	c.geo = decodepool.NewGeometry(len(c.checks), c.dist, c.boundaryDist, c.pathQubits, c.boundaryPathQubits)
+	c.geo.D = d
 	return c, nil
 }
 
@@ -116,7 +123,7 @@ func (c *Code) Syndrome(f *pauli.Frame) ([]bool, error) {
 func (c *Code) dist(i, j int) int {
 	dr := abs(c.pos[i][0] - c.pos[j][0])
 	dc := abs(c.pos[i][1] - c.pos[j][1])
-	return maxInt(dr, dc) / 2
+	return max(dr, dc) / 2
 }
 
 // boundaryDist is the distance from check i to the nearest X-type
@@ -125,7 +132,7 @@ func (c *Code) boundaryDist(i int) int {
 	col := c.pos[i][1]
 	left := (col + 1) / 2
 	right := (2*c.d - 1 - col) / 2
-	return minInt(left, right)
+	return min(left, right)
 }
 
 // pathQubits returns a minimum-length Z-error chain connecting checks
@@ -190,20 +197,6 @@ func abs(x int) int {
 	return x
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func clampInt(x, lo, hi int) int {
 	if x < lo {
 		return lo
@@ -237,80 +230,21 @@ const (
 // Decode matches the hot checks of a syndrome and returns the data
 // qubits to correct. The correction always reproduces the syndrome.
 func (c *Code) Decode(syn []bool, m Method) ([]int, error) {
-	if len(syn) != len(c.checks) {
-		return nil, fmt.Errorf("rotated: syndrome has %d checks, code has %d", len(syn), len(c.checks))
-	}
-	var hot []int
-	for i, h := range syn {
-		if h {
-			hot = append(hot, i)
-		}
-	}
-	n := len(hot)
-	if n == 0 {
-		return nil, nil
-	}
-	var qubits []int
+	return c.decode(syn, m, decodepool.NewScratch())
+}
+
+// decode runs the selected matcher over the code's geometry table; the
+// returned qubits alias s.
+func (c *Code) decode(syn []bool, m Method, s *decodepool.Scratch) ([]int, error) {
+	dec := greedy.DecodeGeometry
 	if m == Exact {
-		weight := func(u, v int) int64 {
-			switch {
-			case u < n && v < n:
-				return int64(c.dist(hot[u], hot[v]))
-			case u >= n && v >= n:
-				return 0
-			case u < n:
-				return int64(c.boundaryDist(hot[u]))
-			default:
-				return int64(c.boundaryDist(hot[v]))
-			}
-		}
-		mate, _ := match.MinWeightPerfectMatching(2*n, weight)
-		for u := 0; u < n; u++ {
-			if mate[u] >= n {
-				qubits = append(qubits, c.boundaryPathQubits(hot[u])...)
-			} else if mate[u] > u {
-				qubits = append(qubits, c.pathQubits(hot[u], hot[mate[u]])...)
-			}
-		}
-		return qubits, nil
+		dec = mwpm.DecodeGeometry
 	}
-	type edge struct{ w, i, j int }
-	var edges []edge
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			edges = append(edges, edge{c.dist(hot[a], hot[b]), a, b})
-		}
-		edges = append(edges, edge{c.boundaryDist(hot[a]), a, -1})
+	corr, err := dec(c.geo, syn, s)
+	if err != nil {
+		return nil, fmt.Errorf("rotated: %w", err)
 	}
-	sort.Slice(edges, func(x, y int) bool {
-		if edges[x].w != edges[y].w {
-			return edges[x].w < edges[y].w
-		}
-		if (edges[x].j == -1) != (edges[y].j == -1) {
-			return edges[y].j == -1
-		}
-		if edges[x].i != edges[y].i {
-			return edges[x].i < edges[y].i
-		}
-		return edges[x].j < edges[y].j
-	})
-	matched := make([]bool, n)
-	for _, e := range edges {
-		if matched[e.i] {
-			continue
-		}
-		if e.j == -1 {
-			matched[e.i] = true
-			qubits = append(qubits, c.boundaryPathQubits(hot[e.i])...)
-			continue
-		}
-		if matched[e.j] {
-			continue
-		}
-		matched[e.i], matched[e.j] = true, true
-		qubits = append(qubits, c.pathQubits(hot[e.i], hot[e.j])...)
-	}
-	return qubits, nil
+	return corr.Qubits, nil
 }
 
 // Result summarizes a lifetime run.
@@ -332,9 +266,10 @@ func (c *Code) Lifetime(p float64, cycles int, m Method, seed int64) (Result, er
 	for i := range targets {
 		targets[i] = i
 	}
+	s := decodepool.NewScratch()
 	var out Result
 	for cyc := 0; cyc < cycles; cyc++ {
-		flipped, err := c.runCycle(ch, rng, res, targets, m)
+		flipped, err := c.runCycle(ch, rng, res, targets, m, s)
 		if err != nil {
 			return out, fmt.Errorf("%w at cycle %d", err, cyc)
 		}
@@ -352,13 +287,13 @@ func (c *Code) Lifetime(p float64, cycles int, m Method, seed int64) (Result, er
 // runCycle injects one round of errors, decodes and corrects, verifies
 // the syndrome cleared, and reports whether the logical state flipped
 // (normalizing the residual by the logical operator when it did).
-func (c *Code) runCycle(ch noise.Dephasing, rng *rand.Rand, res *pauli.Frame, targets []int, m Method) (bool, error) {
+func (c *Code) runCycle(ch noise.Dephasing, rng *rand.Rand, res *pauli.Frame, targets []int, m Method, s *decodepool.Scratch) (bool, error) {
 	ch.Sample(rng, res, targets)
 	syn, err := c.Syndrome(res)
 	if err != nil {
 		return false, err
 	}
-	corr, err := c.Decode(syn, m)
+	corr, err := c.decode(syn, m, s)
 	if err != nil {
 		return false, err
 	}
@@ -390,12 +325,13 @@ type rotatedShard struct {
 	m       Method
 	res     *pauli.Frame
 	targets []int
+	scratch *decodepool.Scratch
 }
 
 // Trial implements mc.Shard.
 func (sh *rotatedShard) Trial(rng *rand.Rand, _ int) (mc.Outcome, error) {
 	sh.res.Clear()
-	flipped, err := sh.c.runCycle(sh.ch, rng, sh.res, sh.targets, sh.m)
+	flipped, err := sh.c.runCycle(sh.ch, rng, sh.res, sh.targets, sh.m, sh.scratch)
 	if err != nil {
 		return mc.Outcome{}, err
 	}
@@ -422,6 +358,7 @@ func (c *Code) LifetimeMC(ctx context.Context, p float64, cycles int, m Method, 
 			return &rotatedShard{
 				c: c, ch: ch, m: m,
 				res: pauli.NewFrame(c.NumData()), targets: targets,
+				scratch: decodepool.NewScratch(),
 			}, nil
 		},
 	}

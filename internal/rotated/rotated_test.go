@@ -1,6 +1,7 @@
 package rotated
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/noise"
@@ -11,6 +12,20 @@ func TestNewValidation(t *testing.T) {
 	for _, d := range []int{0, 2, 4} {
 		if _, err := New(d); err == nil {
 			t.Errorf("New(%d) accepted", d)
+		}
+	}
+}
+
+func TestDecodeRejectsWrongLength(t *testing.T) {
+	c, err := New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{c.NumChecks() - 1, c.NumChecks() + 1} {
+		for _, m := range []Method{Greedy, Exact} {
+			if _, err := c.Decode(make([]bool, n), m); err == nil {
+				t.Errorf("%v: %d-check syndrome accepted", m, n)
+			}
 		}
 	}
 }
@@ -144,22 +159,38 @@ func TestDecodeClearsRandomSyndromes(t *testing.T) {
 }
 
 // Distance metric sanity: diagonal neighbours at 1; the path length
-// equals the distance.
+// equals the distance; and the geometry table the matchers read holds
+// exactly dist, boundaryDist and the two chain constructions.
 func TestDistAndPathAgree(t *testing.T) {
 	c, err := New(7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c.geo.M != c.NumChecks() || c.geo.D != 7 {
+		t.Fatalf("geometry header M=%d D=%d", c.geo.M, c.geo.D)
+	}
 	for i := 0; i < c.NumChecks(); i++ {
-		for j := i + 1; j < c.NumChecks(); j++ {
+		for j := 0; j < c.NumChecks(); j++ {
 			path := c.pathQubits(i, j)
 			if len(path) != c.dist(i, j) {
 				t.Fatalf("checks %d-%d: path %d, dist %d", i, j, len(path), c.dist(i, j))
+			}
+			if c.geo.Dist(i, j) != c.dist(i, j) {
+				t.Fatalf("checks %d-%d: table dist %d, dist %d", i, j, c.geo.Dist(i, j), c.dist(i, j))
+			}
+			if got := c.geo.AppendPathQubits(nil, i, j); !slices.Equal(got, path) {
+				t.Fatalf("checks %d-%d: table path %v, pathQubits %v", i, j, got, path)
 			}
 		}
 		bp := c.boundaryPathQubits(i)
 		if len(bp) != c.boundaryDist(i) {
 			t.Fatalf("check %d: boundary path %d, dist %d", i, len(bp), c.boundaryDist(i))
+		}
+		if c.geo.BoundaryDist(i) != c.boundaryDist(i) {
+			t.Fatalf("check %d: table boundary dist %d, boundaryDist %d", i, c.geo.BoundaryDist(i), c.boundaryDist(i))
+		}
+		if got := c.geo.AppendBoundaryPathQubits(nil, i); !slices.Equal(got, bp) {
+			t.Fatalf("check %d: table boundary path %v, boundaryPathQubits %v", i, got, bp)
 		}
 	}
 }
