@@ -8,9 +8,11 @@
 # module (the repository benchmark, which compiles against the decoder,
 # sfq and serve APIs), short native-fuzz smokes (the blossom matcher;
 # the software decoders against their test oracles; the SFQ bit-plane,
-# batch and W-word kernels; the wire frame; two-level decoding), short
-# bit-plane-vs-oracle, batch/scalar and W-width conformance passes, the
-# work-stealing scheduler race pass and
+# batch and W-word kernels; the wire frame; two-level decoding;
+# space-time decoding against its oracle), short bit-plane-vs-oracle,
+# batch/scalar and W-width conformance passes, the space-time oracle
+# differential and whole-block zero-alloc gate, the work-stealing
+# scheduler race pass and
 # steal-schedule determinism, the two-level escalation gates
 # (differential conformance against pure mesh / pure MWPM and the
 # two-level sweep determinism test under the race detector), the decode
@@ -48,8 +50,9 @@
 # original struct-of-bools kernel lives only in internal/sfq's tests,
 # as the independent oracle the bit-plane kernel is diffed against.
 # Likewise greedy, MWPM and union-find each have one implementation,
-# their zero-alloc DecodeInto core; the allocating reference bodies
-# live only in internal/decoder's tests as oracles.
+# their zero-alloc DecodeInto core, which the rotated layout and
+# space-time decoding reuse; the allocating reference bodies live only
+# in internal/decoder's and internal/spacetime's tests as oracles.
 #
 # Every -run, -fuzz and -bench pattern below goes through gotest, which
 # fails when a pattern name matches no test (a renamed conformance test
@@ -114,12 +117,20 @@ gotest -run='^$' -fuzz='^FuzzBatchMesh$' -fuzztime=5s ./internal/sfq
 gotest -run='^$' -fuzz='^FuzzWideBatch$' -fuzztime=5s ./internal/sfq
 gotest -run='^$' -fuzz='^FuzzFrame$' -fuzztime=5s ./internal/serve
 gotest -run='^$' -fuzz='^FuzzTwoLevel$' -fuzztime=5s ./internal/twolevel
+gotest -run='^$' -fuzz='^FuzzSpacetime$' -fuzztime=5s ./internal/spacetime
 
 echo "== mesh kernel conformance (short) =="
 REPRO_MC_SHORT=1 gotest -run TestBitplaneConformance ./internal/sfq
 REPRO_MC_SHORT=1 gotest -run TestBatchMeshConformance ./internal/sfq
 REPRO_MC_SHORT=1 gotest -run TestStatsExitPathParity ./internal/sfq
 REPRO_MC_SHORT=1 gotest -run 'TestBatchMeshWidthConformance|TestBatchMeshWidthsAgree|TestBatchMeshWidthZeroAllocs' ./internal/sfq
+
+echo "== space-time decoding: oracle differential + zero-alloc gate =="
+# Blocks decode on the shared greedy/MWPM cores over a layered geometry;
+# the former event-list matcher is the oracle. A whole block (sampling,
+# decode, correction) must allocate nothing once warm; run without
+# -race (the detector's instrumentation allocates).
+gotest -run 'TestSpacetimeMatchesOracle|TestDegeneratesTo2DCores|TestSpacetimeBlockZeroAllocs' -count=1 ./internal/spacetime
 
 echo "== work-stealing scheduler: race pass + steal-schedule determinism =="
 go test -race -count=1 ./internal/sched

@@ -16,7 +16,10 @@
 //     (distance, error type) and served from a process-wide cache. The
 //     tables are immutable after construction, so any number of worker
 //     goroutines share them without synchronization beyond the cache
-//     lookup.
+//     lookup. Space-time decoding (internal/spacetime) matches over a
+//     layered view of these tables (Geometry.Layered): node t·M + c is
+//     check c in round t, at spatial distance plus round separation,
+//     so R rounds cost no table of (M·R)² entries.
 //
 //   - Scratch owns every mutable buffer a decoder needs. One Scratch
 //     belongs to one worker (a Monte-Carlo shard, one simulator); it is
@@ -151,12 +154,17 @@ func DecodeBatch(dec decoder.Decoder, g *lattice.Graph, syns [][]bool, s *Scratc
 // Geometry holds the immutable decode tables of one matching graph:
 // all-pairs check distances, boundary distances, the minimum-length
 // error chains realizing them (flattened), and the union-find decoding
-// edge list with boundary pendant vertices materialized. All methods
-// are safe for concurrent use.
+// edge list with boundary pendant vertices materialized. A layered view
+// (see Layered) answers the same queries for space-time nodes from its
+// spatial geometry's tables. All methods are safe for concurrent use.
 type Geometry struct {
 	D int               // code distance
 	E lattice.ErrorType // error type this graph decodes
-	M int               // number of checks
+	M int               // number of checks (space-time nodes on a layered view)
+
+	// checks is the per-round check count of a layered view, which
+	// reads its spatial geometry's tables below, and 0 on a 2-D one.
+	checks int
 
 	// Union-find view: NV vertices (checks 0..M-1 then boundary
 	// pendants), Edges in lattice.Graph.DecodingEdges order, and their
@@ -173,16 +181,53 @@ type Geometry struct {
 	bpathData []int32
 }
 
-// Dist returns the matching-graph distance between checks i and j.
-func (geo *Geometry) Dist(i, j int) int { return int(geo.dist[i*geo.M+j]) }
+// Layered returns the space-time view of a 2-D geometry over the given
+// number of measurement rounds: node t·M + c is check c in round t, two
+// nodes are their checks' distance plus their round separation apart,
+// and a node reaches the boundary at its check's boundary distance in
+// any round. Chains are the spatial projection of a matched path — a
+// time-like pair (same check) lays down none. The view shares geo's
+// tables rather than building its own and has no union-find view; one
+// layer is geo itself.
+func (geo *Geometry) Layered(layers int) *Geometry {
+	if geo.checks != 0 {
+		panic("decodepool: Layered on a layered geometry")
+	}
+	if layers <= 1 {
+		return geo
+	}
+	v := &Geometry{D: geo.D, E: geo.E, M: geo.M * layers, checks: geo.M}
+	v.dist, v.bdist = geo.dist, geo.bdist
+	v.pathOff, v.pathData, v.bpathOff, v.bpathData = geo.pathOff, geo.pathData, geo.bpathOff, geo.bpathData
+	return v
+}
+
+// Dist returns the matching-graph distance between checks i and j. On a
+// 2-D geometry it is one table load.
+func (geo *Geometry) Dist(i, j int) int {
+	if c := geo.checks; c != 0 {
+		dt := i/c - j/c
+		return int(geo.dist[i%c*c+j%c]) + max(dt, -dt)
+	}
+	return int(geo.dist[i*geo.M+j])
+}
 
 // BoundaryDist returns check i's distance to its nearest code boundary.
-func (geo *Geometry) BoundaryDist(i int) int { return int(geo.bdist[i]) }
+func (geo *Geometry) BoundaryDist(i int) int {
+	if c := geo.checks; c != 0 {
+		i %= c
+	}
+	return int(geo.bdist[i])
+}
 
 // AppendPathQubits appends the data-qubit chain connecting checks i and
 // j (identical to lattice.Graph.PathQubits) to dst and returns it.
 func (geo *Geometry) AppendPathQubits(dst []int, i, j int) []int {
-	k := int32(i)*int32(geo.M) + int32(j)
+	stride := geo.M
+	if c := geo.checks; c != 0 {
+		i, j, stride = i%c, j%c, c
+	}
+	k := int32(i)*int32(stride) + int32(j)
 	for _, q := range geo.pathData[geo.pathOff[k]:geo.pathOff[k+1]] {
 		dst = append(dst, int(q))
 	}
@@ -192,6 +237,9 @@ func (geo *Geometry) AppendPathQubits(dst []int, i, j int) []int {
 // AppendBoundaryPathQubits appends check i's shortest boundary chain
 // (identical to lattice.Graph.BoundaryPathQubits) to dst and returns it.
 func (geo *Geometry) AppendBoundaryPathQubits(dst []int, i int) []int {
+	if c := geo.checks; c != 0 {
+		i %= c
+	}
 	for _, q := range geo.bpathData[geo.bpathOff[i]:geo.bpathOff[i+1]] {
 		dst = append(dst, int(q))
 	}

@@ -66,6 +66,53 @@ func TestGeometryMatchesGraph(t *testing.T) {
 	}
 }
 
+// A layered view answers every query for node t·M + c from the spatial
+// tables: spatial distance plus round separation, the check's boundary
+// distance in any round, and the spatial chains — none for a same-check
+// (time-like) pair.
+func TestLayeredGeometry(t *testing.T) {
+	for _, d := range []int{3, 5} {
+		g := lattice.MustNew(d).MatchingGraph(lattice.ZErrors)
+		sp := For(g)
+		if sp.Layered(1) != sp {
+			t.Fatalf("d=%d: one layer is not the spatial geometry", d)
+		}
+		const layers = 3
+		geo := sp.Layered(layers)
+		m := g.NumChecks()
+		if geo.M != layers*m || geo.D != d || geo.E != lattice.ZErrors || geo.NV != 0 || geo.Edges != nil {
+			t.Fatalf("d=%d: layered header %+v", d, geo)
+		}
+		for a := 0; a < geo.M; a++ {
+			ca, ta := a%m, a/m
+			if geo.BoundaryDist(a) != g.BoundaryDist(ca) {
+				t.Fatalf("d=%d: BoundaryDist(%d) = %d, want %d", d, a, geo.BoundaryDist(a), g.BoundaryDist(ca))
+			}
+			if got, want := geo.AppendBoundaryPathQubits(nil, a), g.BoundaryPathQubits(ca); !equalInts(got, want) {
+				t.Fatalf("d=%d: boundary path of %d = %v, want %v", d, a, got, want)
+			}
+			for b := 0; b < geo.M; b++ {
+				cb, tb := b%m, b/m
+				if want := g.Dist(ca, cb) + max(ta-tb, tb-ta); geo.Dist(a, b) != want {
+					t.Fatalf("d=%d: Dist(%d,%d) = %d, want %d", d, a, b, geo.Dist(a, b), want)
+				}
+				got := geo.AppendPathQubits(nil, a, b)
+				if !equalInts(got, g.PathQubits(ca, cb)) || (ca == cb && len(got) != 0) {
+					t.Fatalf("d=%d: path %d->%d = %v, want %v", d, a, b, got, g.PathQubits(ca, cb))
+				}
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("d=%d: layering a layered geometry did not panic", d)
+				}
+			}()
+			geo.Layered(2)
+		}()
+	}
+}
+
 // Distinct graph instances of the same (distance, error type) must share
 // one cached table; distinct parameters must not.
 func TestGeometryCacheSharing(t *testing.T) {

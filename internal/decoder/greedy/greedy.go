@@ -35,7 +35,7 @@ func (*Decoder) Name() string { return "greedy" }
 // Match computes the greedy matching for the syndrome without converting
 // it to a correction. Exposed so harnesses can inspect pairings.
 func (*Decoder) Match(g *lattice.Graph, syn []bool) (decoder.Matching, error) {
-	return match(decodepool.For(g), syn, decodepool.NewScratch())
+	return MatchGeometry(decodepool.For(g), syn, decodepool.NewScratch())
 }
 
 // Decode implements decoder.Decoder: DecodeInto on a fresh scratch, so
@@ -51,10 +51,11 @@ func (*Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) 
 }
 
 // DecodeGeometry runs the greedy matcher over any code layout's
-// geometry table (internal/rotated builds its own) and lays down the
-// matched chains. The returned Correction aliases s.
+// geometry table — internal/rotated builds its own, internal/spacetime
+// decodes on a layered view — and lays down the matched chains. The
+// returned Correction aliases s.
 func DecodeGeometry(geo *decodepool.Geometry, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
-	m, err := match(geo, syn, s)
+	m, err := MatchGeometry(geo, syn, s)
 	if err != nil {
 		return decoder.Correction{}, err
 	}
@@ -76,8 +77,8 @@ type intoState struct {
 	m       decoder.Matching
 }
 
-// match is the one greedy matcher. Edges are accepted in ascending
-// distance; on ties, pair edges come before boundary edges — pairing
+// MatchGeometry is the one greedy matcher. Edges are accepted in
+// ascending distance; on ties, pair edges come before boundary edges — pairing
 // two hot checks at distance w clears both for the price one boundary
 // match would pay to clear one — and remaining ties go to ascending
 // endpoint indices, so decoding is deterministic. A stable
@@ -86,7 +87,7 @@ type intoState struct {
 // order — ascending (i, j) for pairs, ascending i for boundary edges —
 // already is the tie-break order. The returned Matching lists pairs and
 // boundary matches in acceptance order and aliases s.
-func match(geo *decodepool.Geometry, syn []bool, s *decodepool.Scratch) (decoder.Matching, error) {
+func MatchGeometry(geo *decodepool.Geometry, syn []bool, s *decodepool.Scratch) (decoder.Matching, error) {
 	if err := geo.CheckSyndrome(syn); err != nil {
 		return decoder.Matching{}, fmt.Errorf("greedy: %w", err)
 	}

@@ -39,7 +39,7 @@ func (*Decoder) Name() string { return "mwpm" }
 // Match computes the optimal matching for the syndrome without
 // converting it to a correction.
 func (*Decoder) Match(g *lattice.Graph, syn []bool) (decoder.Matching, error) {
-	return matchGeometry(decodepool.For(g), syn, decodepool.NewScratch())
+	return MatchGeometry(decodepool.For(g), syn, decodepool.NewScratch())
 }
 
 // Decode implements decoder.Decoder: DecodeInto on a fresh scratch, so
@@ -56,10 +56,11 @@ func (*Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) 
 }
 
 // DecodeGeometry runs the exact matcher over any code layout's geometry
-// table (internal/rotated builds its own) and lays down the matched
-// chains. The returned Correction aliases s.
+// table — internal/rotated builds its own, internal/spacetime decodes on
+// a layered view — and lays down the matched chains. The returned
+// Correction aliases s.
 func DecodeGeometry(geo *decodepool.Geometry, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
-	m, err := matchGeometry(geo, syn, s)
+	m, err := MatchGeometry(geo, syn, s)
 	if err != nil {
 		return decoder.Correction{}, err
 	}
@@ -75,10 +76,10 @@ type intoState struct {
 	m       decoder.Matching
 }
 
-// matchGeometry is the one exact matcher: it builds the folded instance
+// MatchGeometry is the one exact matcher: it builds the folded instance
 // from the geometry tables, solves it with the blossom matcher, and
 // returns the pairs and boundary matches (aliasing s).
-func matchGeometry(geo *decodepool.Geometry, syn []bool, s *decodepool.Scratch) (decoder.Matching, error) {
+func MatchGeometry(geo *decodepool.Geometry, syn []bool, s *decodepool.Scratch) (decoder.Matching, error) {
 	if err := geo.CheckSyndrome(syn); err != nil {
 		return decoder.Matching{}, fmt.Errorf("mwpm: %w", err)
 	}

@@ -99,8 +99,9 @@ func oracleGreedyMatch(g *lattice.Graph, syn []bool) decoder.Matching {
 	return m
 }
 
-// oracleMWPMMatch is the folded exact matching solved through the
-// closure-weight blossom entry point, on the graph's per-call geometry.
+// oracleMWPMMatch is the folded exact matching, its weight closure
+// flattened here and solved by the blossom matcher, on the graph's
+// per-call geometry.
 func oracleMWPMMatch(g *lattice.Graph, syn []bool) decoder.Matching {
 	hot := lattice.HotChecks(syn)
 	n := len(hot)
@@ -121,7 +122,14 @@ func oracleMWPMMatch(g *lattice.Graph, syn []bool) decoder.Matching {
 		}
 		return du
 	}
-	mate, _ := match.MinWeightPerfectMatching(m, weight)
+	w := make([]int64, m*m)
+	for u := 0; u < m; u++ {
+		for v := u + 1; v < m; v++ {
+			x := weight(u, v)
+			w[u*m+v], w[v*m+u] = x, x
+		}
+	}
+	mate, _ := new(match.Matcher).MinWeightPerfect(m, w)
 	var mm decoder.Matching
 	for u := 0; u < n; u++ {
 		v := mate[u]

@@ -9,12 +9,13 @@
 // and blossoms, alternating trees grown from free vertices, blossom
 // shrinking at odd cycles, and dual adjustments when the trees get stuck.
 //
-// Two entry points are provided. The package-level functions
-// (MaxWeightMatching, MinWeightPerfectMatching) allocate fresh working
-// state per call and are convenient for one-off instances. The Matcher
-// type owns reusable working state so steady-state decode loops solve
-// instance after instance without allocating; the zero-allocation MWPM
-// decode path (internal/decodepool) keeps one Matcher per scratch.
+// The entry point is the Matcher type, which owns reusable working
+// state so steady-state decode loops solve instance after instance
+// without allocating: the MWPM core (internal/decoder/mwpm) keeps one
+// Matcher per decodepool.Scratch, and it serves every layout — the
+// unrotated and rotated codes and space-time decoding. Callers pass a
+// flat weight matrix; the package's tests keep closure-weight wrappers
+// for one-off instances.
 package match
 
 // Infinite is the sentinel slack used during dual adjustment.
@@ -61,9 +62,6 @@ type Matcher struct {
 	mate []int
 	flip []int64 // min-weight wrapper's flipped-weight buffer
 }
-
-// NewMatcher returns an empty reusable matcher.
-func NewMatcher() *Matcher { return &Matcher{} }
 
 // MaxWeight computes a maximum-weight matching of the complete graph on
 // n vertices with the given flat symmetric weight matrix: w[u*n+v] is
@@ -141,44 +139,6 @@ func (m *Matcher) MinWeightPerfect(n int, w []int64) (mate []int, total int64) {
 		}
 	}
 	return mate, total
-}
-
-// MaxWeightMatching computes a maximum-weight matching of the complete
-// graph on n vertices with the given symmetric weight matrix (0-indexed;
-// weights must be non-negative, and zero-weight pairs are treated as
-// absent edges). It returns mate, where mate[u] is u's partner or -1,
-// and the total matched weight.
-func MaxWeightMatching(n int, weight func(u, v int) int64) (mate []int, total int64) {
-	if n == 0 {
-		return nil, 0
-	}
-	return NewMatcher().MaxWeight(n, flatten(n, weight))
-}
-
-// MinWeightPerfectMatching computes a minimum-weight perfect matching of
-// the complete graph on an even number of vertices. It returns mate and
-// the total weight. Weights may be any non-negative values.
-func MinWeightPerfectMatching(n int, weight func(u, v int) int64) (mate []int, total int64) {
-	if n%2 != 0 {
-		panic("match: perfect matching requires an even vertex count")
-	}
-	if n == 0 {
-		return nil, 0
-	}
-	return NewMatcher().MinWeightPerfect(n, flatten(n, weight))
-}
-
-// flatten materializes a weight function as the flat symmetric matrix
-// the Matcher consumes.
-func flatten(n int, weight func(u, v int) int64) []int64 {
-	w := make([]int64, n*n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			x := weight(u, v)
-			w[u*n+v], w[v*n+u] = x, x
-		}
-	}
-	return w
 }
 
 // grow ensures the graph owns at least `slots` vertex slots, allocating

@@ -7,9 +7,12 @@
 //
 // The NISQ+ paper evaluates with perfect extraction (its decoder is
 // per-round); this package is the repository's "future work" extension
-// showing how the same matching machinery (greedy or exact blossom)
-// lifts to repeated noisy measurement. Blocks of R noisy rounds are
-// terminated by one perfect round, as is standard for lifetime studies.
+// showing how the same matching machinery lifts to repeated noisy
+// measurement: a block's detection events form one space-time syndrome
+// over a layered decodepool.Geometry, decoded by the very greedy and
+// MWPM cores the 2D decoders run, in per-simulator scratch. Blocks of R
+// noisy rounds are terminated by one perfect round, as is standard for
+// lifetime studies.
 package spacetime
 
 import (
@@ -17,20 +20,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
+	"repro/internal/decodepool"
+	"repro/internal/decoder"
+	"repro/internal/decoder/greedy"
+	"repro/internal/decoder/mwpm"
 	"repro/internal/lattice"
-	"repro/internal/match"
 	"repro/internal/mc"
 	"repro/internal/noise"
 	"repro/internal/pauli"
 )
-
-// Node is one detection event: check index Check fired at round Round.
-type Node struct {
-	Check int
-	Round int
-}
 
 // Method selects the matching algorithm.
 type Method uint8
@@ -52,115 +51,18 @@ func (m Method) String() string {
 	return "greedy"
 }
 
-// Decoder matches detection events in space-time.
-type Decoder struct {
-	g      *lattice.Graph
-	method Method
-}
-
-// NewDecoder builds a space-time decoder over one matching graph.
-func NewDecoder(g *lattice.Graph, m Method) *Decoder {
-	return &Decoder{g: g, method: m}
-}
-
-// dist is the space-time metric: spatial matching-graph distance plus
-// time separation.
-func (d *Decoder) dist(a, b Node) int {
-	dt := a.Round - b.Round
-	if dt < 0 {
-		dt = -dt
+// decode matches the detection events of a space-time syndrome (node
+// t·M + c of geo, a layered view, is check c firing in round t) with
+// the method's core and returns the data qubits to flip: the spatial
+// projection of every matched path. Events may also match a spatial
+// boundary at their check's boundary distance; time-like segments are
+// measurement errors and need no data correction. The Correction
+// aliases s.
+func (m Method) decode(geo *decodepool.Geometry, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
+	if m == Exact {
+		return mwpm.DecodeGeometry(geo, syn, s)
 	}
-	return d.g.Dist(a.Check, b.Check) + dt
-}
-
-// Match pairs the detection events; events may also match a spatial
-// boundary at their spatial boundary distance.
-//
-// The returned correction lists the data qubits to flip: the spatial
-// projection of every matched path. Time-like segments are measurement
-// errors and need no data correction.
-func (d *Decoder) Match(events []Node) (pairs [][2]int, boundary []int) {
-	n := len(events)
-	if n == 0 {
-		return nil, nil
-	}
-	switch d.method {
-	case Exact:
-		weight := func(u, v int) int64 {
-			switch {
-			case u < n && v < n:
-				return int64(d.dist(events[u], events[v]))
-			case u >= n && v >= n:
-				return 0
-			case u < n:
-				return int64(d.g.BoundaryDist(events[u].Check))
-			default:
-				return int64(d.g.BoundaryDist(events[v].Check))
-			}
-		}
-		mate, _ := match.MinWeightPerfectMatching(2*n, weight)
-		for u := 0; u < n; u++ {
-			if mate[u] >= n {
-				boundary = append(boundary, u)
-			} else if mate[u] > u {
-				pairs = append(pairs, [2]int{u, mate[u]})
-			}
-		}
-		return pairs, boundary
-	default:
-		type edge struct {
-			w, i, j int // j == -1 marks a boundary edge
-		}
-		var edges []edge
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				edges = append(edges, edge{d.dist(events[i], events[j]), i, j})
-			}
-			edges = append(edges, edge{d.g.BoundaryDist(events[i].Check), i, -1})
-		}
-		sort.Slice(edges, func(x, y int) bool {
-			if edges[x].w != edges[y].w {
-				return edges[x].w < edges[y].w
-			}
-			if (edges[x].j == -1) != (edges[y].j == -1) {
-				return edges[y].j == -1
-			}
-			if edges[x].i != edges[y].i {
-				return edges[x].i < edges[y].i
-			}
-			return edges[x].j < edges[y].j
-		})
-		matched := make([]bool, n)
-		for _, e := range edges {
-			if matched[e.i] {
-				continue
-			}
-			if e.j == -1 {
-				matched[e.i] = true
-				boundary = append(boundary, e.i)
-				continue
-			}
-			if matched[e.j] {
-				continue
-			}
-			matched[e.i], matched[e.j] = true, true
-			pairs = append(pairs, [2]int{e.i, e.j})
-		}
-		return pairs, boundary
-	}
-}
-
-// Correction converts a matching over events into the data qubits to
-// flip (the spatial projection of each path).
-func (d *Decoder) Correction(events []Node, pairs [][2]int, boundary []int) []int {
-	var qubits []int
-	for _, p := range pairs {
-		qubits = append(qubits, d.g.PathQubits(events[p[0]].Check, events[p[1]].Check)...)
-	}
-	for _, i := range boundary {
-		qubits = append(qubits, d.g.BoundaryPathQubits(events[i].Check)...)
-	}
-	return qubits
+	return greedy.DecodeGeometry(geo, syn, s)
 }
 
 // Config describes a phenomenological lifetime experiment.
@@ -185,16 +87,18 @@ type Result struct {
 // space-time decoder (Z errors / X checks, matching the paper's
 // headline dephasing evaluation).
 type Simulator struct {
-	cfg  Config
-	l    *lattice.Lattice
-	g    *lattice.Graph
-	dec  *Decoder
-	rng  *rand.Rand
-	ch   noise.Dephasing
-	mf   noise.MeasureFlip
-	data []int
-	res  *pauli.Frame
-	cut  []int
+	cfg     Config
+	g       *lattice.Graph
+	geo     *decodepool.Geometry // layered view: Rounds noisy rounds + the closing round
+	scr     *decodepool.Scratch
+	rng     *rand.Rand
+	ch      noise.Dephasing
+	mf      noise.MeasureFlip
+	data    []int
+	res     *pauli.Frame
+	cut     []int
+	logical []int
+	events  []bool // the current block's space-time syndrome, one layer per round
 }
 
 // NewSimulator validates the configuration and builds the simulator.
@@ -215,16 +119,19 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 	g := l.MatchingGraph(lattice.ZErrors)
+	geo := decodepool.For(g).Layered(cfg.Rounds + 1)
 	s := &Simulator{
-		cfg: cfg,
-		l:   l,
-		g:   g,
-		dec: NewDecoder(g, cfg.Method),
-		rng: noise.NewRand(cfg.Seed),
-		ch:  ch,
-		mf:  mf,
-		res: pauli.NewFrame(l.NumQubits()),
-		cut: l.LogicalCutSupport(lattice.ZErrors),
+		cfg:     cfg,
+		g:       g,
+		geo:     geo,
+		scr:     decodepool.NewScratch(),
+		rng:     noise.NewRand(cfg.Seed),
+		ch:      ch,
+		mf:      mf,
+		res:     pauli.NewFrame(l.NumQubits()),
+		cut:     l.LogicalCutSupport(lattice.ZErrors),
+		logical: l.LogicalSupport(lattice.ZErrors),
+		events:  make([]bool, geo.M),
 	}
 	for _, site := range l.DataSites() {
 		s.data = append(s.data, l.QubitIndex(site))
@@ -328,37 +235,46 @@ func Sweep(ctx context.Context, cfgs []Config, blocks int, rootSeed int64, worke
 // the detection events, applies the correction, and reports whether the
 // block flipped the logical state.
 func (s *Simulator) runBlock() (bool, error) {
-	prev := make([]bool, s.g.NumChecks()) // block opens syndrome-clean
-	var events []Node
-	for r := 0; r < s.cfg.Rounds; r++ {
+	s.sampleBlock()
+	return s.correctBlock()
+}
+
+// sampleBlock runs the block's rounds and leaves their detection events
+// in s.events: layer t holds the checks whose outcome changed between
+// rounds t-1 and t (the block opens syndrome-clean).
+func (s *Simulator) sampleBlock() {
+	m := s.g.NumChecks()
+	for r := 0; r <= s.cfg.Rounds; r++ {
+		layer := s.events[r*m : (r+1)*m]
+		if r == s.cfg.Rounds {
+			s.g.SyndromeInto(s.res, layer) // the closing round is perfect
+			break
+		}
 		s.ch.Sample(s.rng, s.res, s.data)
-		syn := s.g.Syndrome(s.res)
-		s.mf.Flip(s.rng, syn)
-		for i := range syn {
-			if syn[i] != prev[i] {
-				events = append(events, Node{Check: i, Round: r})
-			}
-		}
-		prev = syn
+		s.mf.Flip(s.rng, s.g.SyndromeInto(s.res, layer))
 	}
-	// Closing perfect round.
-	final := s.g.Syndrome(s.res)
-	for i := range final {
-		if final[i] != prev[i] {
-			events = append(events, Node{Check: i, Round: s.cfg.Rounds})
-		}
+	for i := len(s.events) - 1; i >= m; i-- {
+		s.events[i] = s.events[i] != s.events[i-m]
 	}
-	pairs, boundary := s.dec.Match(events)
-	for _, q := range s.dec.Correction(events, pairs, boundary) {
+}
+
+// correctBlock decodes s.events, applies the correction, checks that
+// it clears the syndrome, and reports (and undoes) a logical flip.
+func (s *Simulator) correctBlock() (bool, error) {
+	c, err := s.cfg.Method.decode(s.geo, s.events, s.scr)
+	if err != nil {
+		return false, fmt.Errorf("spacetime: %w", err)
+	}
+	for _, q := range c.Qubits {
 		s.res.Apply(q, pauli.Z)
 	}
-	for i, hot := range s.g.Syndrome(s.res) {
+	for i, hot := range s.g.SyndromeInto(s.res, s.events[:s.g.NumChecks()]) {
 		if hot {
 			return false, fmt.Errorf("spacetime: residual check %d hot after block correction", i)
 		}
 	}
 	if s.res.ParityZ(s.cut) == 1 {
-		for _, q := range s.l.LogicalSupport(lattice.ZErrors) {
+		for _, q := range s.logical {
 			s.res.Apply(q, pauli.Z)
 		}
 		return true, nil

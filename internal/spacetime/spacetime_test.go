@@ -3,6 +3,7 @@ package spacetime
 import (
 	"testing"
 
+	"repro/internal/decodepool"
 	"repro/internal/lattice"
 )
 
@@ -30,16 +31,17 @@ func TestConfigValidation(t *testing.T) {
 func TestSpaceTimeMetric(t *testing.T) {
 	l := lattice.MustNew(5)
 	g := l.MatchingGraph(lattice.ZErrors)
-	d := NewDecoder(g, Greedy)
+	geo := decodepool.For(g).Layered(5)
 	i, _ := g.CheckIndex(lattice.Site{Row: 0, Col: 1})
 	j, _ := g.CheckIndex(lattice.Site{Row: 0, Col: 5})
-	if got := d.dist(Node{i, 0}, Node{j, 0}); got != 2 {
+	node := func(c, r int) int { return r*g.NumChecks() + c }
+	if got := geo.Dist(node(i, 0), node(j, 0)); got != 2 {
 		t.Errorf("spatial dist = %d, want 2", got)
 	}
-	if got := d.dist(Node{i, 0}, Node{i, 3}); got != 3 {
+	if got := geo.Dist(node(i, 0), node(i, 3)); got != 3 {
 		t.Errorf("time dist = %d, want 3", got)
 	}
-	if got := d.dist(Node{i, 4}, Node{j, 1}); got != 5 {
+	if got := geo.Dist(node(i, 4), node(j, 1)); got != 5 {
 		t.Errorf("mixed dist = %d, want 5", got)
 	}
 }
@@ -52,12 +54,11 @@ func TestMeasurementErrorMatchedInTime(t *testing.T) {
 	i, _ := g.CheckIndex(lattice.Site{Row: 2, Col: 3})
 	events := []Node{{i, 1}, {i, 2}}
 	for _, m := range []Method{Greedy, Exact} {
-		d := NewDecoder(g, m)
-		pairs, boundary := d.Match(events)
+		pairs, boundary, q := decodeEvents(t, g, m, 4, events)
 		if len(pairs) != 1 || len(boundary) != 0 {
 			t.Fatalf("%v: pairs=%v boundary=%v", m, pairs, boundary)
 		}
-		if q := d.Correction(events, pairs, boundary); len(q) != 0 {
+		if len(q) != 0 {
 			t.Errorf("%v: time-like pair produced data correction %v", m, q)
 		}
 	}
@@ -72,12 +73,10 @@ func TestDataErrorMatchedInSpace(t *testing.T) {
 	j, _ := g.CheckIndex(lattice.Site{Row: 2, Col: 5})
 	events := []Node{{i, 0}, {j, 0}}
 	for _, m := range []Method{Greedy, Exact} {
-		d := NewDecoder(g, m)
-		pairs, boundary := d.Match(events)
+		pairs, boundary, q := decodeEvents(t, g, m, 4, events)
 		if len(pairs) != 1 || len(boundary) != 0 {
 			t.Fatalf("%v: pairs=%v boundary=%v", m, pairs, boundary)
 		}
-		q := d.Correction(events, pairs, boundary)
 		if len(q) != 1 || q[0] != l.QubitIndex(lattice.Site{Row: 2, Col: 4}) {
 			t.Errorf("%v: correction = %v", m, q)
 		}
@@ -87,8 +86,7 @@ func TestDataErrorMatchedInSpace(t *testing.T) {
 func TestEmptyEvents(t *testing.T) {
 	g := lattice.MustNew(3).MatchingGraph(lattice.ZErrors)
 	for _, m := range []Method{Greedy, Exact} {
-		d := NewDecoder(g, m)
-		pairs, boundary := d.Match(nil)
+		pairs, boundary, _ := decodeEvents(t, g, m, 4, nil)
 		if pairs != nil || boundary != nil {
 			t.Errorf("%v matched empty events", m)
 		}
