@@ -436,7 +436,8 @@ func BenchmarkErasureDecoding(b *testing.B) {
 }
 
 // hotPathSyndromes draws the fixed seeded syndrome set the decode
-// hot-path benchmarks and cmd/bench share (dephasing at p = 5%).
+// hot-path benchmarks and the overhead guards share (dephasing at
+// p = 5%).
 func hotPathSyndromes(b testing.TB, l *lattice.Lattice, g *lattice.Graph, count int, seed int64) [][]bool {
 	b.Helper()
 	rng := noise.NewRand(seed)
@@ -460,8 +461,7 @@ func hotPathSyndromes(b testing.TB, l *lattice.Lattice, g *lattice.Graph, count 
 // BenchmarkDecodeHotPath times the pooled DecodeInto path, plain and
 // with telemetry attached, for every matching decoder at d ∈ {5,9,13},
 // on fixed seeded syndromes. ns/decode and allocs/decode are attached as
-// metrics; cmd/bench writes the plain pooled rows in BENCH_pr2.json's
-// schema.
+// metrics.
 func BenchmarkDecodeHotPath(b *testing.B) {
 	for _, d := range []int{5, 9, 13} {
 		l := lattice.MustNew(d)
@@ -508,8 +508,7 @@ func BenchmarkDecodeHotPath(b *testing.B) {
 // this; the benchmark makes it visible). The batch case reports
 // per-decode metrics (one call advances Lanes() decodes); the batch
 // kernel's acceptance bar is batch ns/decode ≤ ½ of the scalar
-// bit-plane kernel at every d ≤ 13. cmd/bench regenerates the same matrix into
-// BENCH_pr3.json / BENCH_pr5.json.
+// bit-plane kernel at every d ≤ 13.
 func BenchmarkSFQMesh(b *testing.B) {
 	for _, d := range []int{5, 7, 9, 13} {
 		l := lattice.MustNew(d)

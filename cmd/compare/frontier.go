@@ -103,7 +103,7 @@ func runFrontier(ctx context.Context, ds []int, ps []float64, cycles int, seed i
 	type cell struct {
 		d       int
 		p       float64
-		probe   *rowProbe   // mesh + two-level rows
+		probe   *rowProbe     // mesh + two-level rows
 		mwpmReg *obs.Registry // mwpm rows: wall-clock via scratch sampling
 	}
 	var cells []cell

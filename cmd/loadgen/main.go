@@ -1,7 +1,7 @@
 // Command loadgen drives a running serve instance with open-loop
-// Poisson traffic and writes the latency/shedding curve as a BENCH
-// artifact (BENCH_pr6.json), so the service's p99-vs-offered-load
-// behavior is tracked the same way the kernel benchmarks are.
+// Poisson traffic and prints one latency/shedding summary line per
+// offered rate. It is a load driver, not a benchmark: perfbench's
+// serve-r4k workload is where service latency is measured and judged.
 //
 // The run has two phases. Calibration floods the server closed-loop
 // (a fixed population of back-to-back requesters) to estimate its
@@ -13,37 +13,20 @@
 // omission), and only StatusOK responses enter the histogram — shed
 // responses return fast and would flatter the tail.
 //
+// loadgen exits 1 if any rate gets no OK response, or if any request
+// fails in transport or comes back with an error status. Shed responses
+// are the service's designed overload behavior and do not fail the run.
+//
 // Usage:
 //
 //	loadgen -addr 127.0.0.1:9000 [-d 9] [-etype z] [-conns 4]
 //	        [-duration 2s] [-rates 1000,5000,10000] [-max-rate 50000]
-//	        [-density 0.08] [-seed 1] [-out BENCH_pr6.json]
-//	        [-trace-http http://127.0.0.1:9090] [-trace-out BENCH_pr10.json]
-//
-// With -trace-http and -trace-out set, loadgen scrapes the server's
-// /debug/traces flight recorder after the sweep and writes the
-// per-stage latency decomposition — stage p50/p99 rows, the embedded
-// PR 9 baseline with a before/after comparison, the worst-10 traces by
-// wall time, and every captured shed/drop decision — as its own
-// artifact. -trace-check makes the scrape's acceptance checks (≥1 shed
-// decision with controller inputs, ≥1 shed decision carrying
-// weight/sojourn inputs, ≥1 outlier trace whose stage durations sum to
-// its wall time, and serve_queue_wait_ns p99 ≥20% under the PR 9
-// baseline) fatal; ci.sh passes it.
-//
-// With -sweep, loadgen instead measures an in-process server at several
-// scheduler widths (workers × mixed-distance closed-loop traffic) and
-// appends lane-fill vs p99 rows to the BENCH_pr8.json artifact:
-//
-//	loadgen -sweep [-sweep-out BENCH_pr8.json] [-sweep-clients 16]
-//	        [-duration 2s] [-density 0.08] [-seed 1]
+//	        [-density 0.08] [-seed 1]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"log"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,34 +40,12 @@ import (
 	"repro/internal/serve"
 )
 
-// Artifact is the on-disk schema of BENCH_pr6.json.
-type Artifact struct {
-	Manifest      *obs.Manifest `json:"manifest"`
-	CalibratedRPS float64       `json:"calibrated_rps"`
-	// ClientFlushes counts socket flushes across every client for the
-	// whole run; Sent / ClientFlushes is the pipelining batch factor
-	// (1.0 before the batched-flush client fix).
-	ClientFlushes uint64 `json:"client_flushes"`
-	Rows          []Row  `json:"rows"`
-}
-
-// Row is one offered-load point of the latency/shedding curve.
-type Row struct {
-	OfferedRPS  float64 `json:"offered_rps"`
-	AchievedRPS float64 `json:"achieved_rps"` // OK responses per wall second
-	DurationS   float64 `json:"duration_s"`
-	Sent        int64   `json:"sent"`
-	OK          int64   `json:"ok"`
-	Shed        int64   `json:"shed"`
-	Errors      int64   `json:"errors"`
-	Escalated   int64   `json:"escalated"` // OK responses flagged for level-2 re-decode
-	ShedRate    float64 `json:"shed_rate"`
-	EscRate     float64 `json:"esc_rate"` // Escalated / OK
-	P50Ns       uint64  `json:"p50_ns"`
-	P90Ns       uint64  `json:"p90_ns"`
-	P99Ns       uint64  `json:"p99_ns"`
-	MeanNs      float64 `json:"mean_ns"`
-	MaxNs       uint64  `json:"max_ns"`
+// result summarizes one offered-load point.
+type result struct {
+	achieved               float64 // OK responses per wall second
+	sent, ok, shed, errors int64
+	escalated              int64 // OK responses flagged for level-2 re-decode
+	lat                    obs.Summary
 }
 
 func main() {
@@ -103,20 +64,7 @@ func main() {
 	maxRate := flag.Float64("max-rate", 50000, "cap on the calibrated rate (bounds goroutine fan-out)")
 	density := flag.Float64("density", 0.08, "per-check hot probability of generated syndromes")
 	seed := flag.Int64("seed", 1, "root seed of the syndrome and arrival streams")
-	out := flag.String("out", "BENCH_pr6.json", "artifact path")
-	sweep := flag.Bool("sweep", false, "run the in-process multi-core sweep instead (workers × mixed-distance lane-fill/p99 rows)")
-	sweepOut := flag.String("sweep-out", "BENCH_pr8.json", "artifact the sweep appends its serve rows to")
-	sweepClients := flag.Int("sweep-clients", 16, "closed-loop requesters per sweep point")
-	traceHTTP := flag.String("trace-http", "", "serve HTTP base URL (http://host:port) to scrape /debug/traces from")
-	traceOut := flag.String("trace-out", "", "write the scraped per-stage trace decomposition to this artifact")
-	traceCheck := flag.Bool("trace-check", false, "fail if the trace scrape misses a shed decision or a consistent outlier trace")
 	flag.Parse()
-	if *sweep {
-		if err := runSweep(*sweepOut, *sweepClients, *duration, *density, *seed); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *addr == "" {
 		log.Fatal("-addr is required")
 	}
@@ -156,7 +104,6 @@ func main() {
 	}
 
 	var rates []float64
-	calibrated := 0.0
 	if *ratesFlag != "" {
 		for _, f := range strings.Split(*ratesFlag, ",") {
 			r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
@@ -166,51 +113,31 @@ func main() {
 			rates = append(rates, r)
 		}
 	} else {
-		calibrated = calibrate(clients, *d, e, syns, *maxRate)
+		calibrated := calibrate(clients, *d, e, syns, *maxRate)
 		log.Printf("calibrated capacity ~%.0f req/s", calibrated)
 		rates = []float64{calibrated / 2, calibrated, 2 * calibrated}
 	}
 
-	art := Artifact{
-		Manifest: obs.NewManifest(map[string]any{
-			"addr": *addr, "d": *d, "etype": *etype, "conns": *conns,
-			"duration": duration.String(), "density": *density, "seed": *seed,
-		}),
-		CalibratedRPS: calibrated,
-	}
+	failed := false
 	for i, rps := range rates {
-		row := runRate(clients, *d, e, syns, rps, *duration, *seed, int64(i))
-		log.Printf("offered %.0f/s: achieved %.0f/s ok, shed %.1f%%, escalated %.1f%%, p50 %s p99 %s",
-			row.OfferedRPS, row.AchievedRPS, 100*row.ShedRate, 100*row.EscRate,
-			time.Duration(row.P50Ns), time.Duration(row.P99Ns))
-		art.Rows = append(art.Rows, row)
-	}
-	for _, c := range clients {
-		art.ClientFlushes += c.Flushes()
-	}
-
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s", *out)
-
-	if *traceOut != "" {
-		if *traceHTTP == "" {
-			log.Fatal("-trace-out requires -trace-http")
+		r := runRate(clients, *d, e, syns, rps, *duration, *seed, int64(i))
+		shedRate, escRate := 0.0, 0.0
+		if r.sent > 0 {
+			shedRate = float64(r.shed) / float64(r.sent)
 		}
-		if err := scrapeTraces(*traceHTTP, *traceOut, art.Manifest, *traceCheck); err != nil {
-			log.Fatal(err)
+		if r.ok > 0 {
+			escRate = float64(r.escalated) / float64(r.ok)
 		}
-		log.Printf("wrote %s", *traceOut)
+		log.Printf("offered %.0f/s: achieved %.0f/s ok, shed %.1f%%, escalated %.1f%%, errors %d, p50 %s p99 %s",
+			rps, r.achieved, 100*shedRate, 100*escRate, r.errors,
+			time.Duration(r.lat.P50), time.Duration(r.lat.P99))
+		if r.ok == 0 || r.errors > 0 {
+			log.Printf("offered %.0f/s: FAIL (%d OK, %d errors of %d sent)", rps, r.ok, r.errors, r.sent)
+			failed = true
+		}
+	}
+	if failed {
+		log.Fatal("load run failed")
 	}
 }
 
@@ -261,7 +188,7 @@ func calibrate(clients []*serve.Client, d int, e lattice.ErrorType, syns [][]boo
 // runRate replays one open-loop Poisson arrival process at the offered
 // rate and summarizes what came back.
 func runRate(clients []*serve.Client, d int, e lattice.ErrorType, syns [][]bool,
-	rps float64, dur time.Duration, seed, point int64) Row {
+	rps float64, dur time.Duration, seed, point int64) result {
 	rng := mc.NewRand(seed, mc.DeriveID(0xa881, uint64(point)), 0)
 	hist := obs.NewHistogram()
 	var ok, shed, errs, escalated atomic.Int64
@@ -311,27 +238,13 @@ func runRate(clients []*serve.Client, d int, e lattice.ErrorType, syns [][]bool,
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
-	sum := hist.Snapshot().Summary()
-	row := Row{
-		OfferedRPS:  rps,
-		AchievedRPS: float64(ok.Load()) / elapsed,
-		DurationS:   elapsed,
-		Sent:        sent,
-		OK:          ok.Load(),
-		Shed:        shed.Load(),
-		Errors:      errs.Load(),
-		Escalated:   escalated.Load(),
-		P50Ns:       sum.P50,
-		P90Ns:       sum.P90,
-		P99Ns:       sum.P99,
-		MeanNs:      sum.Mean,
-		MaxNs:       sum.Max,
+	return result{
+		achieved:  float64(ok.Load()) / elapsed,
+		sent:      sent,
+		ok:        ok.Load(),
+		shed:      shed.Load(),
+		errors:    errs.Load(),
+		escalated: escalated.Load(),
+		lat:       hist.Snapshot().Summary(),
 	}
-	if sent > 0 {
-		row.ShedRate = float64(row.Shed) / float64(sent)
-	}
-	if row.OK > 0 {
-		row.EscRate = float64(row.Escalated) / float64(row.OK)
-	}
-	return row
 }

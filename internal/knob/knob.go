@@ -1,8 +1,8 @@
 // Package knob centralizes the repository's REPRO_* environment knobs.
 //
 // Before this package, each knob was read ad hoc (os.Getenv scattered
-// across cmd/bench, the sfq kernel switch, the Monte-Carlo short-trial
-// tests and the obs overhead guard), which made a typo'd value — say
+// across the benchmark binaries, the sfq kernel switch, the Monte-Carlo
+// short-trial tests and the obs overhead guard), which made a typo'd value — say
 // REPRO_SFQ_KERNEL=bitplan — silently fall back to the default and
 // measure the wrong thing. Here every knob is declared once in a
 // registry with its legal values; accessors validate strictly and fail
@@ -10,8 +10,9 @@
 // outright so a misspelled knob *name* is caught too.
 //
 // The manifest layer (internal/obs) records exactly the registered
-// names, so BENCH artifacts and /manifest.json stay in sync with the
-// set of knobs that can change what a run measures.
+// names, so perfbench results, the frontier artifact and /manifest.json
+// stay in sync with the set of knobs that can change what a run
+// measures.
 package knob
 
 import (
@@ -48,7 +49,7 @@ var defs = []Def{
 	},
 	{
 		Name:    "REPRO_OBS_GUARD",
-		Desc:    "opt into the wall-clock telemetry-overhead guard test",
+		Desc:    "opt into the wall-clock guard tests",
 		Allowed: boolValues,
 	},
 	{

@@ -18,8 +18,9 @@ import (
 // Manifest records the provenance of one run so sweep artifacts stay
 // attributable across machines and toolchains: which binary, which
 // commit, which Go version, how many cores, and which environment knobs
-// were live. cmd/bench embeds a Manifest in every BENCH_*.json and the
-// --obs endpoint serves the active run's at /manifest.json.
+// were live. perfbench and cmd/compare -frontier embed a Manifest in
+// what they write, and the --obs endpoint serves the active run's at
+// /manifest.json.
 type Manifest struct {
 	Command    []string `json:"command"`
 	StartTime  string   `json:"start_time"` // RFC 3339, UTC

@@ -72,7 +72,7 @@ func NewClient(nc net.Conn) *Client {
 }
 
 // Flushes returns how many socket flushes this client has issued — the
-// denominator for requests-per-syscall in the loadgen artifact.
+// denominator of perfbench's requests-per-flush figure.
 func (c *Client) Flushes() uint64 { return c.flushes.Load() }
 
 // Send writes req (its ID is overwritten with a client-assigned one)

@@ -415,7 +415,7 @@ func TestSojournDrop(t *testing.T) {
 		t.Fatalf("serve_sojourn_dropped_total = %d, want 2", c)
 	}
 	// The decision records carry the measured sojourn and the class
-	// weight — the inputs the BENCH_pr10 trace check asserts on.
+	// weight — the inputs /debug/traces reports for a drop.
 	snap := s.Tracer().Snapshot()
 	sojourns := 0
 	for _, dec := range snap.Decisions {

@@ -12,12 +12,12 @@ import (
 )
 
 // /debug/traces: the flight recorder's read side. The JSON document is
-// what cmd/loadgen -trace-out scrapes; ?format=text renders the same
+// for scripts scraping a live server; ?format=text renders the same
 // traces as a terminal table for eyeball debugging. Each trace view
 // carries both stage offsets (from accept) and the consecutive-stage
-// durations, which telescope to the wall time — the sum check the
-// acceptance harness runs is exact by construction, not a property of
-// lucky clock reads.
+// durations, which telescope to the wall time — the sum check
+// TestDebugTracesEndpoint runs is exact by construction, not a property
+// of lucky clock reads.
 
 // stageDurations maps the stamp pairs to the named duration rows of a
 // trace view. Escalate rows happen after the response (level 2 is

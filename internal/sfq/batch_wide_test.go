@@ -151,35 +151,37 @@ func FuzzWideBatch(f *testing.F) {
 }
 
 // TestBatchMeshWidthZeroAllocs extends the zero-allocation guarantee to
-// every plane width: warmed-up wide meshes decode full batches without
-// touching the heap.
+// every plane width at d = 9 and 13: warmed-up wide meshes decode full
+// batches without touching the heap.
 func TestBatchMeshWidthZeroAllocs(t *testing.T) {
-	l := lattice.MustNew(9)
-	g := l.MatchingGraph(lattice.ZErrors)
-	rng := rand.New(rand.NewSource(7))
-	for _, words := range []int{1, 2, 4} {
-		batch := NewBatchWithWidth(g, Final, words)
-		n := 2 * batch.Lanes()
-		syns := make([][]bool, n)
-		for i := range syns {
-			syns[i] = make([]bool, g.NumChecks())
-			for j := range syns[i] {
-				syns[i][j] = rng.Float64() < 0.08
+	for _, d := range []int{9, 13} {
+		l := lattice.MustNew(d)
+		g := l.MatchingGraph(lattice.ZErrors)
+		rng := rand.New(rand.NewSource(int64(d)))
+		for _, words := range []int{1, 2, 4} {
+			batch := NewBatchWithWidth(g, Final, words)
+			n := 2 * batch.Lanes()
+			syns := make([][]bool, n)
+			for i := range syns {
+				syns[i] = make([]bool, g.NumChecks())
+				for j := range syns[i] {
+					syns[i][j] = rng.Float64() < 0.08
+				}
 			}
-		}
-		s := decodepool.NewScratch()
-		for i := 0; i < 4; i++ {
-			if _, err := batch.DecodeBatchInto(g, syns, s); err != nil {
-				t.Fatal(err)
+			s := decodepool.NewScratch()
+			for i := 0; i < 4; i++ {
+				if _, err := batch.DecodeBatchInto(g, syns, s); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		allocs := testing.AllocsPerRun(16, func() {
-			if _, err := batch.DecodeBatchInto(g, syns, s); err != nil {
-				t.Fatal(err)
+			allocs := testing.AllocsPerRun(16, func() {
+				if _, err := batch.DecodeBatchInto(g, syns, s); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("d=%d W=%d: %.1f allocs/batch, want 0", d, words, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("W=%d: %.1f allocs/batch, want 0", words, allocs)
 		}
 	}
 }

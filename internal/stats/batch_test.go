@@ -56,9 +56,9 @@ func pointsEqual(t *testing.T, desc string, a, b []Point) {
 }
 
 // TestCurvesBatchDeterminism runs the same sweep with batching off and
-// on (and across worker/shard shapes) and requires bit-identical
-// points: same logical-error counts, same forced completions, same
-// trial counts.
+// on (across worker/shard shapes and pinned plane widths W = 1, 2, 4)
+// and requires bit-identical points: same logical-error counts, same
+// forced completions, same trial counts.
 func TestCurvesBatchDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -81,12 +81,22 @@ func TestCurvesBatchDeterminism(t *testing.T) {
 			if !anyErrors {
 				t.Fatal("scalar sweep saw no logical errors; determinism check is vacuous")
 			}
-			for _, shape := range []struct{ workers, shardSize int }{
-				{0, 0}, {3, 17}, {1, 64},
+			// words > 0 pins every batch mesh to that plane width instead
+			// of the process default the pool builds.
+			for _, shape := range []struct{ workers, shardSize, words int }{
+				{0, 0, 0}, {3, 17, 0}, {1, 64, 0},
+				{2, 0, 1}, {2, 0, 2}, {2, 0, 4},
 			} {
 				cfg := batchSweepConfig(cycles, true, tc.dual, pool)
 				cfg.Workers = shape.workers
 				cfg.ShardSize = shape.shardSize
+				if shape.words > 0 {
+					cfg.NewDecoderZ = pinnedWidth(lattice.ZErrors, shape.words)
+					if tc.dual {
+						cfg.NewDecoderX = pinnedWidth(lattice.XErrors, shape.words)
+					}
+					cfg.FreeDecoder = nil
+				}
 				batched, err := Curves(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -94,6 +104,14 @@ func TestCurvesBatchDeterminism(t *testing.T) {
 				pointsEqual(t, tc.name, scalar, batched)
 			}
 		})
+	}
+}
+
+// pinnedWidth builds batch meshes of one explicit plane width, outside
+// any pool.
+func pinnedWidth(etype lattice.ErrorType, words int) func(d int) decoder.Decoder {
+	return func(d int) decoder.Decoder {
+		return sfq.NewBatchWithWidth(lattice.MustNew(d).MatchingGraph(etype), sfq.Final, words)
 	}
 }
 

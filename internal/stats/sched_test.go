@@ -37,7 +37,7 @@ func TestCurvesStealScheduleDeterminism(t *testing.T) {
 		workers    int
 		forceSteal bool
 	}{
-		{1, false}, {1, true}, {2, true}, {8, true}, {8, false},
+		{1, false}, {1, true}, {2, false}, {2, true}, {4, false}, {8, true}, {8, false},
 	} {
 		var ss sched.Stats
 		cfg := batchSweepConfig(cycles, true, false, pool)

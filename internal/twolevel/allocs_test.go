@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/decoder/mwpm"
 	"repro/internal/decodepool"
+	"repro/internal/decoder/mwpm"
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/sfq"
@@ -26,8 +26,8 @@ func TestTwoLevelZeroAllocs(t *testing.T) {
 		}
 		return syn
 	}
-	quiet := mkSyn(0.02)  // decodes clean, no escalation under hot6
-	dense := mkSyn(0.25)  // always escalates under hot6
+	quiet := mkSyn(0.02) // decodes clean, no escalation under hot6
+	dense := mkSyn(0.25) // always escalates under hot6
 	reg := obs.NewRegistry()
 	pol := Policy{OnRetry: true, OnUnresolved: true, OnFallback: true, HotThreshold: 6}
 

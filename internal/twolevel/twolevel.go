@@ -20,8 +20,8 @@ package twolevel
 import (
 	"time"
 
-	"repro/internal/decoder"
 	"repro/internal/decodepool"
+	"repro/internal/decoder"
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/sfq"
@@ -108,7 +108,7 @@ type Decoder struct {
 
 	decodes     int64
 	escalations int64
-	obsDecodes  *obs.Counter   // nil until Instrument
+	obsDecodes  *obs.Counter // nil until Instrument
 	obsEscal    *obs.Counter
 	l1Ns        *obs.Histogram // nil until Instrument: per-decode level split
 	l2Ns        *obs.Histogram
